@@ -29,9 +29,6 @@ from .operators import (
     EntrySamplingOperator,
     MeasurementOperator,
     PtychographyBandpassOperator,
-    build_coded_diffraction,
-    build_entry_sampling,
-    build_ptychography_bandpass,
     entry_sampling_from_file,
     read_triples,
     write_triples,
@@ -68,7 +65,6 @@ from .solver import (
     learning_rate,
     select_alpha_phase,
     solve,
-    step,
     update_direction,
 )
 from .spectral import ImplicitGradientMatrix, SpectralConfig, max_sing_vec, min_eig
@@ -109,9 +105,6 @@ __all__ = [
     "TooLargeForDense",
     "ZeroGradient",
     "ZeroTruth",
-    "build_coded_diffraction",
-    "build_entry_sampling",
-    "build_ptychography_bandpass",
     "cgm_dense_solve",
     "dense_adjoint",
     "duality_gap",
@@ -134,7 +127,6 @@ __all__ = [
     "save_spectra_csv",
     "select_alpha_phase",
     "solve",
-    "step",
     "test_error",
     "update_direction",
     "write_triples",

@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -227,11 +228,11 @@ def _build_solve_problem(args):
             pspec, loss_kind=args.loss, rank=args.rank, eps=args.eps,
             max_iters=args.max_iters, spectral=spectral, sketch_seed=args.sketch_seed,
         )
-        if args.alpha is not None:
-            prob.alpha = args.alpha
-        if args.variant is not None:
-            prob.variant = args.variant
-        prob.__post_init__()  # re-validate overridden fields
+        prob = replace(
+            prob,
+            alpha=prob.alpha if args.alpha is None else args.alpha,
+            variant=prob.variant if args.variant is None else args.variant,
+        )
         peak = float(np.abs(x_true).max())
 
         def eval_fn(factors):

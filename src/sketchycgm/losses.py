@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonFiniteInput
-from .memory import ledger, nscalars
 
 __all__ = ["Loss", "LOSS_KINDS", "POISSON_FLOOR"]
 
@@ -51,7 +50,6 @@ class Loss:
         if not self.huber_delta > 0:
             raise ValueError("huber_delta must be positive")
         self.b = b
-        ledger.add("losses", nscalars(b))
 
     @property
     def d(self) -> int:

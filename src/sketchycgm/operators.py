@@ -43,9 +43,6 @@ __all__ = [
     "RowMeasurementOperator",
     "CodedDiffractionOperator",
     "PtychographyBandpassOperator",
-    "build_coded_diffraction",
-    "build_ptychography_bandpass",
-    "build_entry_sampling",
     "entry_sampling_from_file",
     "read_triples",
     "write_triples",
@@ -291,20 +288,6 @@ class PtychographyBandpassOperator(RowMeasurementOperator):
         acc = np.zeros(self.n, dtype=np.complex128)
         np.add.at(acc, self.masks.ravel(), blocks.ravel())
         return np.fft.ifft(acc, norm="ortho")
-
-
-def build_coded_diffraction(n: int, views: int, seed=0) -> CodedDiffractionOperator:
-    return CodedDiffractionOperator(n, views, seed)
-
-
-def build_ptychography_bandpass(
-    n: int, q: int, views: int, masks=None
-) -> PtychographyBandpassOperator:
-    return PtychographyBandpassOperator(n, q, views, masks)
-
-
-def build_entry_sampling(m: int, n: int, rows, cols) -> EntrySamplingOperator:
-    return EntrySamplingOperator(m, n, rows, cols)
 
 
 def read_triples(path):

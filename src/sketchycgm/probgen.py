@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import Loss
-from .operators import EntrySamplingOperator, build_coded_diffraction, read_triples
+from .operators import CodedDiffractionOperator, EntrySamplingOperator, read_triples
 from .reference import EvalSpec
 from .solver import ProblemSpec, select_alpha_phase
 from .spectral import SpectralConfig
@@ -130,7 +130,7 @@ def gen_phase_problem(
     sig_seed, op_seed, noise_seed = ss.spawn(3)
     rng = np.random.default_rng(sig_seed)
     x = (rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)) / np.sqrt(2.0)
-    op = build_coded_diffraction(spec.n, spec.views, seed=op_seed)
+    op = CodedDiffractionOperator(spec.n, spec.views, seed=op_seed)
     clean = op.psd_measure(x[:, None], np.array([1.0]))
     nrng = np.random.default_rng(noise_seed)
     if spec.noise_kind == "none":

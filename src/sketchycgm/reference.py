@@ -1,13 +1,15 @@
 """Dense reference solver and evaluation metrics.
 
-The reference solver runs the same conditional gradient iteration as the
-sketched solver but carries the full matrix iterate, so tests can compare
-the implicit state against ground truth. It is deliberately guarded to
-small problems: its role is oracle, not production path. With
-spectral_mode="lanczos" it consumes the exact same seeded extreme-pair
-routine as the sketched solver, so both produce identical direction
+The reference solver drives the sketched solver's own conditional gradient
+loop (``solver._cgm_loop``) but carries the full matrix iterate, so tests
+can compare the implicit state against ground truth. It is deliberately
+guarded to small problems: its role is oracle, not production path. With
+spectral_mode="lanczos" it calls the same seeded linear minimization
+oracle as the sketched solver, so both produce identical direction
 sequences; spectral_mode="dense" swaps in full factorizations for runs
-that must reach very small gaps without iterative-solver stalls.
+that must reach very small gaps without iterative-solver stalls. Either
+way the extreme pair becomes a vertex through the one shared
+``solver.vertex`` routine.
 
 Metrics: effective rank of a spectrum, phase-aligned relative error for
 phase retrieval, PSNR, and held-out entrywise test error evaluated from
@@ -16,17 +18,16 @@ factors without densifying.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLargeForDense, ZeroGradient, ZeroTruth
+from .errors import DimensionMismatch, TooLargeForDense, ZeroTruth
 from .losses import LOSS_KINDS, Loss
 from .memory import ledger
 from .sketch import FactoredMatrix
-from .solver import IterationRecord, ProblemSpec, duality_gap, learning_rate
-from .spectral import ImplicitGradientMatrix, _canonical_phase, max_sing_vec, min_eig
+from .solver import Direction, ProblemSpec, _cgm_loop, _initial_z, update_direction, vertex
+from .spectral import _canonical_phase
 
 __all__ = [
     "DENSE_GUARD",
@@ -127,17 +128,17 @@ def _dense_real(z: np.ndarray) -> np.ndarray:
     return z.real if np.iscomplexobj(z) else z
 
 
-def _direction_dense_mode(spec: ProblemSpec, grad: np.ndarray):
-    """Extreme pair via full factorization, canonicalized like the iterative path."""
+def _exact_direction(spec: ProblemSpec, grad: np.ndarray, t: int) -> Direction:
+    """Vertex from a full factorization, canonicalized like the iterative path."""
     G = dense_adjoint(spec.op, grad)
     if spec.template == "psd":
         w, P = np.linalg.eigh(0.5 * (G + G.conj().T))
         u = P[:, 0]
-        return float(w[0]), u * _canonical_phase(u), None
-    U, s, Vh = np.linalg.svd(G)
+        return vertex(spec, u * _canonical_phase(u), lam=float(w[0]))
+    U, _s, Vh = np.linalg.svd(G)
     u, v = U[:, 0], Vh[0].conj()
     ph = _canonical_phase(u)
-    return float(s[0]), u * ph, v * ph
+    return vertex(spec, u * ph, v * ph)
 
 
 def cgm_dense_solve(
@@ -153,91 +154,33 @@ def cgm_dense_solve(
     (default spec.max_iters). callback(DenseIterate) fires at every recorded
     iterate, before the update is applied.
     """
-    op, loss = spec.op, spec.loss
+    op = spec.op
     if op.m * op.n > DENSE_GUARD:
         raise TooLargeForDense(f"{op.m}x{op.n} exceeds the dense guard {DENSE_GUARD}")
     if spectral_mode not in ("lanczos", "dense"):
         raise ValueError(f"unknown spectral_mode {spectral_mode!r}")
-    if trace_every < 1:
-        raise ValueError("trace_every must be at least 1")
-    limit = spec.max_iters if max_iters is None else max_iters
-    m, n, d = op.m, op.n, op.d
+    if max_iters is not None:
+        spec = replace(spec, max_iters=max_iters)
+    m, n = op.m, op.n
     width = 2 if np.issubdtype(np.dtype(op.field), np.complexfloating) else 1
     k = min(m, n)
     X = np.zeros((m, n), dtype=op.field)
     poisson = spec.variant == "poisson"
-    z = np.full(d, 1.0 / np.sqrt(d)) if poisson else np.zeros(d)
-    trace: list[IterationRecord] = []
-    started = time.perf_counter()
-    t = 0
+
+    def advance(z, vert, eta):
+        X[:] = (1.0 - eta) * X + eta * np.outer(vert.left, vert.right.conj())
+        if poisson:
+            return (1.0 - eta) * z + eta * vert.h
+        return _dense_real(measure_dense(op, X))
+
+    def observe(record):
+        if callback is not None:
+            callback(DenseIterate(X=X, t=record.t, gap=record.gap))
+
+    direction = update_direction if spectral_mode == "lanczos" else _exact_direction
     with ledger.track("dense_cgm", width * (2 * m * n + k * (m + n + 1))):
-        while True:
-            grad = loss.gradient(z)
-            lam_or_sigma, u, v, h = _dense_direction(spec, grad, t, spectral_mode)
-            gap = duality_gap(z, h, grad)
-            hit_eps = gap <= spec.eps
-            terminal = hit_eps or t >= limit
-            if terminal or t % trace_every == 0:
-                trace.append(
-                    IterationRecord(
-                        t=t,
-                        eta=learning_rate(t, spec.variant),
-                        gap=gap,
-                        objective=float(loss.value(z)),
-                        wall_ms=(time.perf_counter() - started) * 1e3,
-                    )
-                )
-                if callback is not None:
-                    callback(DenseIterate(X=X, t=t, gap=gap))
-            if hit_eps or t >= limit:
-                break
-            eta = learning_rate(t, spec.variant)
-            X *= 1.0 - eta
-            if u is not None:
-                if spec.template == "psd":
-                    X += (eta * spec.alpha) * np.outer(u, u.conj())
-                else:
-                    X += (-eta * spec.alpha) * np.outer(u, v.conj())
-            if poisson:
-                z = (1.0 - eta) * z + eta * h
-            else:
-                z = _dense_real(measure_dense(op, X))
-            t += 1
+        trace = _cgm_loop(spec, _initial_z(spec), direction, advance, observe, trace_every)
     return X, trace
-
-
-def _dense_direction(spec: ProblemSpec, grad: np.ndarray, t: int, mode: str):
-    """Vertex of the constraint set; returns (extreme value, u, v, h).
-
-    u is None for the zero direction (psd template with positive bottom
-    eigenvalue, or a zero gradient).
-    """
-    op = spec.op
-    zero_h = np.zeros(op.d)
-    try:
-        if spec.template == "psd":
-            if mode == "lanczos":
-                lam, u = min_eig(
-                    ImplicitGradientMatrix(op, grad), spec.spectral,
-                    start_seed=(spec.spectral.seed, t),
-                )
-            else:
-                lam, u, _ = _direction_dense_mode(spec, grad)
-            if lam > 0:
-                return lam, None, None, zero_h
-            h = op.psd_measure(u[:, None], np.array([spec.alpha]))
-            return lam, u, u, h
-        if mode == "lanczos":
-            u, v, sigma = max_sing_vec(
-                ImplicitGradientMatrix(op, grad), spec.spectral,
-                start_seed=(spec.spectral.seed, t),
-            )
-        else:
-            sigma, u, v = _direction_dense_mode(spec, grad)
-        h = -spec.alpha * _dense_real(op.apply_rank_one(u, v))
-        return sigma, u, v, h
-    except ZeroGradient:
-        return 0.0, None, None, zero_h
 
 
 def record_spectra(spec: ProblemSpec, max_iters=None, every=1, spectral_mode="lanczos"):

@@ -11,6 +11,12 @@ Stopping uses the duality gap of the linear minimization step, evaluated
 before the update, so a converged iterate is returned untouched. The
 poisson variant changes only the starting point (a strictly positive
 vector, keeping the log-domain safe) and the step-size schedule.
+
+The iteration itself (gradient, vertex, gap, record, step size) is written
+once, in ``_cgm_loop``, together with the linear minimization oracle
+``update_direction`` and the ``vertex`` it returns. ``solve`` drives the
+loop with the sketch update; the dense oracle in ``reference`` drives the
+same loop and oracle while carrying the full matrix instead.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, ZeroGradient
 from .losses import Loss
-from .memory import ledger
+from .memory import ledger, nscalars
 from .operators import MeasurementOperator
-from .sketch import FactoredMatrix, Sketch
+from .sketch import Sketch
 from .spectral import ImplicitGradientMatrix, SpectralConfig, max_sing_vec, min_eig
 
 __all__ = [
@@ -34,9 +40,9 @@ __all__ = [
     "Direction",
     "learning_rate",
     "init_state",
+    "vertex",
     "update_direction",
     "duality_gap",
-    "step",
     "solve",
     "select_alpha_phase",
 ]
@@ -45,7 +51,7 @@ TEMPLATES = ("schatten1", "psd")
 VARIANTS = ("standard", "poisson")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """One convex problem instance: minimize loss(measure(X)) over a norm ball.
 
@@ -53,6 +59,7 @@ class ProblemSpec:
     "psd" constrains to the positive semidefinite cone with trace at most
     alpha (requires a square domain). rank sets the reconstruction rank of
     the sketch. The poisson variant pairs with the poisson loss only.
+    Frozen: derive a variant with dataclasses.replace, which re-validates.
     """
 
     op: MeasurementOperator
@@ -128,51 +135,56 @@ def learning_rate(t: int, variant: str = "standard") -> float:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def init_state(spec: ProblemSpec) -> SolverState:
+def _initial_z(spec: ProblemSpec) -> np.ndarray:
     d = spec.op.d
     if spec.variant == "poisson":
         # start strictly positive so the log-domain loss is defined at t=0
-        z0 = np.full(d, 1.0 / np.sqrt(d))
-    else:
-        z0 = np.zeros(d)
+        return np.full(d, 1.0 / np.sqrt(d))
+    return np.zeros(d)
+
+
+def init_state(spec: ProblemSpec) -> SolverState:
     sk = Sketch(spec.op.m, spec.op.n, spec.rank, field=spec.op.field, seed=spec.sketch_seed)
-    return SolverState(z=z0, sketch=sk)
+    return SolverState(z=_initial_z(spec), sketch=sk)
 
 
-def _zero_direction(spec: ProblemSpec) -> Direction:
-    op = spec.op
-    return Direction(
-        left=np.zeros(op.m, dtype=op.field),
-        right=np.zeros(op.n, dtype=op.field),
-        h=np.zeros(op.d),
-    )
+def vertex(spec: ProblemSpec, u=None, v=None, lam: float = 0.0) -> Direction:
+    """Vertex of the constraint set at an extreme pair of the gradient matrix.
 
-
-def update_direction(state: SolverState, spec: ProblemSpec, grad=None) -> Direction:
-    """Linear minimization over the constraint set at the current iterate.
-
-    schatten1: the vertex is -alpha times the top singular dyad of the
-    implicit gradient matrix. psd: alpha times the bottom eigvector dyad
-    when the bottom eigenvalue is nonpositive, else the zero matrix. A zero
-    gradient yields the zero direction (the iterate is already optimal).
+    schatten1: -alpha u v^H for the top singular pair (u, v). psd: alpha u u^H
+    for the bottom eigenvector u, or the zero matrix when its eigenvalue lam
+    is positive. u=None also gives the zero matrix: the gradient vanishes and
+    the iterate is already optimal.
     """
-    if grad is None:
-        grad = spec.loss.gradient(state.z)
     op = spec.op
-    G = ImplicitGradientMatrix(op, grad)
-    seed = (spec.spectral.seed, state.t)
+    if u is None or lam > 0:
+        return Direction(
+            left=np.zeros(op.m, dtype=op.field),
+            right=np.zeros(op.n, dtype=op.field),
+            h=np.zeros(op.d),
+        )
+    if spec.template == "psd":
+        h = op.psd_measure(u[:, None], np.array([spec.alpha]))
+        return Direction(left=spec.alpha * u, right=u, h=h)
+    return Direction(left=-spec.alpha * u, right=v, h=-spec.alpha * op.apply_rank_one(u, v))
+
+
+def update_direction(spec: ProblemSpec, grad, t: int) -> Direction:
+    """Linear minimization over the constraint set at gradient grad.
+
+    The extreme pair comes from the seeded Krylov routines, with start seed
+    (spec.spectral.seed, t), so the direction depends on (spec, grad, t) only.
+    """
+    G = ImplicitGradientMatrix(spec.op, grad)
+    seed = (spec.spectral.seed, t)
     try:
         if spec.template == "psd":
             lam, u = min_eig(G, spec.spectral, start_seed=seed)
-            if lam > 0:
-                return _zero_direction(spec)
-            h = op.psd_measure(u[:, None], np.array([spec.alpha]))
-            return Direction(left=spec.alpha * u, right=u, h=h)
+            return vertex(spec, u, lam=lam)
         u, v, _sigma = max_sing_vec(G, spec.spectral, start_seed=seed)
-        h = -spec.alpha * op.apply_rank_one(u, v)
-        return Direction(left=-spec.alpha * u, right=v, h=h)
+        return vertex(spec, u, v)
     except ZeroGradient:
-        return _zero_direction(spec)
+        return vertex(spec)
 
 
 def duality_gap(z, h, grad) -> float:
@@ -180,26 +192,53 @@ def duality_gap(z, h, grad) -> float:
     return float(np.real(np.vdot(z - h, grad)))
 
 
-def step(state: SolverState, spec: ProblemSpec, started_at: float | None = None) -> IterationRecord:
-    """One compute-and-update pass; the record reflects the iterate before the update."""
-    t0 = time.perf_counter() if started_at is None else started_at
-    grad = spec.loss.gradient(state.z)
-    direction = update_direction(state, spec, grad=grad)
-    gap = duality_gap(state.z, direction.h, grad)
-    objective = float(spec.loss.value(state.z))
-    eta = learning_rate(state.t, spec.variant)
-    record = IterationRecord(t=state.t, eta=eta, gap=gap, objective=objective)
-    _apply_update(state, spec, direction)
-    record.wall_ms = (time.perf_counter() - t0) * 1e3
-    return record
+def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: int):
+    """The conditional gradient iteration shared by solve and the dense oracle.
+
+    From the measurement vector z each pass takes the loss gradient, the
+    vertex direction(spec, grad, t) and the duality gap. Iterates with
+    t % trace_every == 0, and always the terminal one, get an
+    IterationRecord that observe(record) sees before the update. The run
+    stops once the gap reaches spec.eps or t reaches spec.max_iters;
+    otherwise advance(z, vertex, eta) moves the caller's iterate and returns
+    the next z. The loss data count as live storage while the loop runs.
+    Returns the trace.
+    """
+    if trace_every < 1:
+        raise ValueError("trace_every must be at least 1")
+    loss = spec.loss
+    trace: list[IterationRecord] = []
+    started = time.perf_counter()
+    t = 0
+    with ledger.track("losses", nscalars(loss.b)):
+        while True:
+            grad = loss.gradient(z)
+            vert = direction(spec, grad, t)
+            gap = duality_gap(z, vert.h, grad)
+            terminal = gap <= spec.eps or t >= spec.max_iters
+            eta = learning_rate(t, spec.variant)
+            if terminal or t % trace_every == 0:
+                record = IterationRecord(
+                    t=t,
+                    eta=eta,
+                    gap=gap,
+                    objective=float(loss.value(z)),
+                    wall_ms=(time.perf_counter() - started) * 1e3,
+                )
+                observe(record)
+                trace.append(record)
+            if terminal:
+                return trace
+            z = advance(z, vert, eta)
+            t += 1
 
 
-def _apply_update(state: SolverState, spec: ProblemSpec, direction: Direction) -> None:
-    eta = learning_rate(state.t, spec.variant)
+def _apply_update(state: SolverState, direction: Direction, eta: float) -> np.ndarray:
     state.z = (1.0 - eta) * state.z + eta * direction.h
     state.sketch.cgm_update(direction.left, direction.right, eta)
     state.eta = eta
     state.t += 1
+    return state.z
 
 
 def solve(
@@ -220,42 +259,24 @@ def solve(
     first-class. With strict=True it raises NoConvergence whose .result
     holds the same (factors, trace) pair.
     """
-    if trace_every < 1:
-        raise ValueError("trace_every must be at least 1")
     state = init_state(spec)
-    started = time.perf_counter()
-    trace: list[IterationRecord] = []
-    converged = False
     psd = spec.template == "psd"
+
+    def observe(record):
+        state.last_gap = record.gap
+        if eval_fn is not None:
+            record.metrics = eval_fn(state.sketch.reconstruct(psd=psd))
+        if callback is not None:
+            callback(record, state)
+
     with ledger.track("solver", 3 * spec.op.d):
-        while True:
-            grad = spec.loss.gradient(state.z)
-            direction = update_direction(state, spec, grad=grad)
-            gap = duality_gap(state.z, direction.h, grad)
-            state.last_gap = gap
-            hit_eps = gap <= spec.eps
-            terminal = hit_eps or state.t >= spec.max_iters
-            if terminal or state.t % trace_every == 0:
-                record = IterationRecord(
-                    t=state.t,
-                    eta=learning_rate(state.t, spec.variant),
-                    gap=gap,
-                    objective=float(spec.loss.value(state.z)),
-                    wall_ms=(time.perf_counter() - started) * 1e3,
-                )
-                if eval_fn is not None:
-                    record.metrics = eval_fn(state.sketch.reconstruct(psd=psd))
-                trace.append(record)
-                if callback is not None:
-                    callback(record, state)
-            if hit_eps:
-                converged = True
-                break
-            if state.t >= spec.max_iters:
-                break
-            _apply_update(state, spec, direction)
+        trace = _cgm_loop(
+            spec, state.z, update_direction,
+            lambda _z, vert, eta: _apply_update(state, vert, eta),
+            observe, trace_every,
+        )
     factors = state.sketch.reconstruct(psd=psd)
-    if not converged and strict:
+    if strict and not state.last_gap <= spec.eps:
         raise NoConvergence(
             f"gap {state.last_gap:.3e} above eps {spec.eps:.3e} after {state.t} iterations",
             result=(factors, trace),

@@ -109,6 +109,29 @@ def test_error_payload_on_bad_argument(capsys):
     assert set(payload) >= {"error", "message"}
 
 
+def test_variant_override_is_validated(capsys):
+    # the phase problem's default loss is gauss, which the poisson variant rejects
+    code, lines = _run(
+        capsys,
+        ["solve", "--problem", "phase", "--n", "8", "--views", "4",
+         "--variant", "poisson"],
+    )
+    assert code == 2
+    assert _last_json(lines)["error"] == "ValueError"
+
+
+def test_peak_scalars_independent_of_trace_every(capsys):
+    # held-out evaluation at every record is not solver state
+    argv = ["solve", "--problem", "completion", "--m", "60", "--n", "40",
+            "--max-iters", "100"]
+    peaks = []
+    for every in ("1", "100"):
+        code, lines = _run(capsys, argv + ["--trace-every", every])
+        assert code == 0
+        peaks.append(_last_json(lines)["peak_scalars"])
+    assert peaks[0] == peaks[1]
+
+
 def test_error_payload_reports_parse_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1 2.0\n3 x 1.0\n")

@@ -7,11 +7,13 @@ from sketchycgm import (
     DimensionMismatch,
     EvalSpec,
     FactoredMatrix,
+    SyntheticPhaseSpec,
     TooLargeForDense,
     ZeroTruth,
     cgm_dense_solve,
     dense_adjoint,
     eps_rank,
+    gen_phase_problem,
     measure_dense,
     phase_aligned_error,
     psnr,
@@ -60,6 +62,27 @@ def test_dense_solve_agrees_with_sketchy_on_pinned_instance():
         prob2.op.apply_rank_one(np.ones(16), np.ones(12)) * 0.0,
         measure_dense(prob2.op, X) - measure_dense(prob2.op, X),
     )
+
+
+@pytest.mark.parametrize("loss_kind", ["gauss", "poisson"])
+@pytest.mark.parametrize("seed", range(5))
+def test_dense_solve_agrees_with_sketchy_on_psd_phase(seed, loss_kind):
+    # the psd template through the shared oracle; the poisson variant carries
+    # z by the same recurrence in both solvers, so its gaps agree bit for bit,
+    # while the standard dense oracle re-measures X and agrees to roundoff
+    prob, _x = gen_phase_problem(
+        SyntheticPhaseSpec(n=16, views=6, seed=seed), loss_kind=loss_kind,
+        eps=1e-300, max_iters=40,
+    )
+    _, trace = solve(prob, trace_every=1)
+    _, dtrace = cgm_dense_solve(prob, trace_every=1)
+    gaps = np.array([r.gap for r in trace])
+    dgaps = np.array([r.gap for r in dtrace])
+    assert gaps.size == dgaps.size == 41
+    if loss_kind == "poisson":
+        np.testing.assert_array_equal(gaps, dgaps)
+    else:
+        np.testing.assert_allclose(gaps, dgaps, rtol=1e-9)
 
 
 def test_dense_solve_guard():

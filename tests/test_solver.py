@@ -99,8 +99,8 @@ def test_first_standard_step_lands_on_direction():
     prob = spiked_completion_problem(1, m=10, n=7, max_iters=5)
     state = init_state(prob)
     grad = prob.loss.gradient(state.z)
-    direction = update_direction(state, prob, grad=grad)
-    _apply_update(state, prob, direction)
+    direction = update_direction(prob, grad, state.t)
+    _apply_update(state, direction, learning_rate(state.t))
     np.testing.assert_allclose(state.z, direction.h, atol=1e-15)
     assert state.t == 1
 
@@ -118,7 +118,7 @@ def test_direction_measurement_consistency():
     prob = spiked_completion_problem(2, m=9, n=6, max_iters=5)
     state = init_state(prob)
     grad = prob.loss.gradient(state.z)
-    d = update_direction(state, prob, grad=grad)
+    d = update_direction(prob, grad, state.t)
     np.testing.assert_allclose(
         d.h, prob.op.apply_rank_one(d.left, d.right), atol=1e-12
     )
@@ -127,7 +127,7 @@ def test_direction_measurement_consistency():
 def test_direction_scale_is_alpha():
     prob = spiked_completion_problem(3, m=9, n=6, alpha=0.7, max_iters=5)
     state = init_state(prob)
-    d = update_direction(state, prob, grad=prob.loss.gradient(state.z))
+    d = update_direction(prob, prob.loss.gradient(state.z), state.t)
     assert np.linalg.norm(d.left) * np.linalg.norm(d.right) == pytest.approx(
         0.7, rel=1e-10
     )
@@ -163,7 +163,7 @@ def test_solver_loop_invariants_generic_instance():
         worst["Y"] = max(worst["Y"], np.abs(sk.Y - X @ sk.Omega).max())
         worst["W"] = max(worst["W"], np.abs(sk.W - sk.Psi @ X).max())
         # replay the deterministic update the solver is about to take
-        d = update_direction(state, prob, grad=prob.loss.gradient(state.z))
+        d = update_direction(prob, prob.loss.gradient(state.z), state.t)
         eta = learning_rate(state.t, prob.variant)
         shadow["X"] = (1 - eta) * X + eta * np.outer(d.left, np.conj(d.right))
 
