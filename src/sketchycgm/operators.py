@@ -166,7 +166,10 @@ class EntrySamplingOperator(MeasurementOperator):
     def left_apply_adjoint(self, z, u) -> np.ndarray:
         z = _check_vector(z, self.d, "z", finite=False)
         u = _check_vector(u, self.m, "u", finite=False)
-        return _bincount(self.cols, z * np.conj(u[self.rows]), self.n)
+        picked = u[self.rows]
+        if np.iscomplexobj(picked):
+            np.conj(picked, out=picked)
+        return _bincount(self.cols, z * picked, self.n)
 
     def right_apply_adjoint(self, z, v) -> np.ndarray:
         z = _check_vector(z, self.d, "z", finite=False)
@@ -234,6 +237,29 @@ class CodedDiffractionOperator(RowMeasurementOperator):
     def _sense_adjoint(self, y: np.ndarray) -> np.ndarray:
         blocks = np.fft.ifft(y.reshape(self.views, self.n), axis=1, norm="ortho")
         return (np.conj(self.modulations) * blocks).sum(axis=0)
+
+    def _conj_gram(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """conj(A* diag(z) A x), in one views-by-n work array."""
+        buf = self.modulations * x[None, :]
+        np.fft.fft(buf, axis=1, norm="ortho", out=buf)
+        # z on the left: complex products are not bitwise commutative under FMA
+        np.multiply(z.reshape(self.views, self.n), buf, out=buf)
+        np.fft.ifft(buf, axis=1, norm="ortho", out=buf)
+        # conj(D) * y == conj(D * conj(y)), so the conjugated modulations are never formed
+        np.conj(buf, out=buf)
+        np.multiply(self.modulations, buf, out=buf)
+        return buf.sum(axis=0)
+
+    def left_apply_adjoint(self, z, u) -> np.ndarray:
+        z = _check_vector(z, self.d, "z", finite=False)
+        u = _check_vector(u, self.m, "u", finite=False)
+        return self._conj_gram(np.conj(z) if np.iscomplexobj(z) else z, u)
+
+    def right_apply_adjoint(self, z, v) -> np.ndarray:
+        z = _check_vector(z, self.d, "z", finite=False)
+        v = _check_vector(v, self.n, "v", finite=False)
+        out = self._conj_gram(z, v)
+        return np.conj(out, out=out)
 
 
 class PtychographyBandpassOperator(RowMeasurementOperator):

@@ -179,7 +179,7 @@ def cgm_dense_solve(
 
     direction = update_direction if spectral_mode == "lanczos" else _exact_direction
     with ledger.track("dense_cgm", width * (2 * m * n + k * (m + n + 1))):
-        trace = _cgm_loop(spec, _initial_z(spec), direction, advance, observe, trace_every)
+        trace = _cgm_loop(spec, _initial_z(spec), direction, advance, observe, trace_every, [])
     return X, trace
 
 

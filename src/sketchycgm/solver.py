@@ -192,7 +192,7 @@ def duality_gap(z, h, grad) -> float:
     return float(np.real(np.vdot(z - h, grad)))
 
 
-def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: int):
+def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: int, trace: list):
     """The conditional gradient iteration shared by solve and the dense oracle.
 
     From the measurement vector z each pass takes the loss gradient, the
@@ -202,12 +202,12 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
     stops once the gap reaches spec.eps or t reaches spec.max_iters;
     otherwise advance(z, vertex, eta) moves the caller's iterate and returns
     the next z. The loss data count as live storage while the loop runs.
-    Returns the trace.
+    Records go to the caller's list ``trace``, so they outlive a failure
+    inside the loop; it is also returned.
     """
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
     loss = spec.loss
-    trace: list[IterationRecord] = []
     started = time.perf_counter()
     t = 0
     with ledger.track("losses", nscalars(loss.b)):
@@ -257,7 +257,9 @@ def solve(
     dict lands in record.metrics. callback(record, state) fires after each
     record. Hitting max_iters is non-fatal by default: partial results are
     first-class. With strict=True it raises NoConvergence whose .result
-    holds the same (factors, trace) pair.
+    holds the same (factors, trace) pair. A NoConvergence from the spectral
+    routines also carries the reconstruction and the records made so far.
+    The sketch's scalars go back to the ledger before solve returns.
     """
     state = init_state(spec)
     psd = spec.template == "psd"
@@ -269,13 +271,20 @@ def solve(
         if callback is not None:
             callback(record, state)
 
-    with ledger.track("solver", 3 * spec.op.d):
-        trace = _cgm_loop(
-            spec, state.z, update_direction,
-            lambda _z, vert, eta: _apply_update(state, vert, eta),
-            observe, trace_every,
-        )
-    factors = state.sketch.reconstruct(psd=psd)
+    trace: list[IterationRecord] = []
+    try:
+        with ledger.track("solver", 3 * spec.op.d):
+            _cgm_loop(
+                spec, state.z, update_direction,
+                lambda _z, vert, eta: _apply_update(state, vert, eta),
+                observe, trace_every, trace,
+            )
+        factors = state.sketch.reconstruct(psd=psd)
+    except NoConvergence as exc:
+        exc.result = (state.sketch.reconstruct(psd=psd), trace)
+        raise
+    finally:
+        state.sketch.release()
     if strict and not state.last_gap <= spec.eps:
         raise NoConvergence(
             f"gap {state.last_gap:.3e} above eps {spec.eps:.3e} after {state.t} iterations",

@@ -11,6 +11,14 @@ estimate survives as the residual scale. Start vectors are drawn from a
 seeded generator so that independent runs reproduce identical direction
 sequences. Workspace is bounded by the Krylov cap, keeping storage linear
 in m + n.
+
+Every few steps a cycle checks convergence. The explicit residual, one
+extra product with G (two for Golub-Kahan), is the only stopping test and
+is what a cycle reports. The free Ritz estimate, beta_J times the last
+component of the small Ritz vector, only decides whether a check is worth
+that product: a check runs it once the estimate is within ``_RITZ_GATE``
+of the tolerance. Projections onto the basis read it in place, with no
+conjugated copy.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ __all__ = [
 
 _BREAKDOWN = 1e-14
 _CHECK_EVERY = 5
+# A convergence check runs its explicit residual only when the free Ritz
+# estimate is within this factor of the tolerance.
+_RITZ_GATE = 10.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,8 @@ class ImplicitGradientMatrix:
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         # rows of the conjugate transpose are conjugated left actions
-        return np.conj(self.op.left_apply_adjoint(self.g, u))
+        out = self.op.left_apply_adjoint(self.g, u)
+        return np.conj(out, out=out) if np.iscomplexobj(out) else out
 
 
 class _DenseLinop:
@@ -86,6 +98,16 @@ def _as_linop(G):
     if isinstance(G, np.ndarray):
         return _DenseLinop(G)
     return G
+
+
+def _project(B: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coefficients B* x of x on the columns of B, without a conjugated copy of B."""
+    if B.shape[1] == 1:
+        # a one-column basis goes to another BLAS kernel; keep its rounding
+        return B.conj().T @ x
+    if np.iscomplexobj(B):
+        return np.conj(B.T @ np.conj(x))
+    return B.T @ x
 
 
 def _start_vector(size: int, iscomplex: bool, seed) -> np.ndarray:
@@ -153,11 +175,21 @@ def _gk_cycle(G, v0, cap, tol):
     a = np.linalg.norm(p)
     if a == 0.0:
         raise ZeroGradient("start vector is annihilated; the matrix is numerically zero")
-    U[:, 0] = p / a
+    # the newest basis vectors also live in contiguous arrays: operators read
+    # them much faster than a strided column of the basis
+    u_new = p / a
+    U[:, 0] = u_new
     alphas[0] = a
     J = 1
     exhausted = False
     while True:
+        if not exhausted and J < cap:
+            # the next right vector comes first: its norm prices the Ritz estimate
+            r = G.rmatvec(u_new) - alphas[J - 1] * V[:, J - 1]
+            for _ in range(2):
+                r -= V[:, :J] @ _project(V[:, :J], r)
+            b = np.linalg.norm(r)
+            exhausted = b <= _BREAKDOWN * alphas[:J].max()
         if exhausted or J == cap or J % _CHECK_EVERY == 0:
             B = np.zeros((J, J))
             B[np.arange(J), np.arange(J)] = alphas[:J]
@@ -165,32 +197,30 @@ def _gk_cycle(G, v0, cap, tol):
                 B[np.arange(J - 1), np.arange(1, J)] = betas[: J - 1]
             P, svals, Qh = np.linalg.svd(B)
             sigma = svals[0]
-            u = U[:, :J] @ P[:, 0]
-            v = V[:, :J] @ Qh[0]
-            ru = np.linalg.norm(G.matvec(v) - sigma * u)
-            rv = np.linalg.norm(G.rmatvec(u) - sigma * v)
-            resid = max(ru, rv)
-            if exhausted or J == cap or (sigma > 0 and resid <= tol * sigma):
-                return u, v, sigma, resid, J
+            final = exhausted or J == cap
+            # G* u - sigma v = b * P[J-1, 0] * (next right vector), G v = sigma u
+            if final or b * abs(P[J - 1, 0]) <= _RITZ_GATE * tol * sigma:
+                u = U[:, :J] @ P[:, 0]
+                v = V[:, :J] @ Qh[0]
+                ru = np.linalg.norm(G.matvec(v) - sigma * u)
+                rv = np.linalg.norm(G.rmatvec(u) - sigma * v)
+                resid = max(ru, rv)
+                if final or (sigma > 0 and resid <= tol * sigma):
+                    return u, v, sigma, resid, J
         # expand the factorization by one pair
-        r = G.rmatvec(U[:, J - 1]) - alphas[J - 1] * V[:, J - 1]
-        for _ in range(2):
-            r -= V[:, :J] @ (V[:, :J].conj().T @ r)
-        b = np.linalg.norm(r)
-        if b <= _BREAKDOWN * alphas[:J].max():
-            exhausted = True
-            continue
         betas[J - 1] = b
-        V[:, J] = r / b
-        s = G.matvec(V[:, J]) - b * U[:, J - 1]
+        v_new = r / b
+        V[:, J] = v_new
+        s = G.matvec(v_new) - b * U[:, J - 1]
         for _ in range(2):
-            s -= U[:, :J] @ (U[:, :J].conj().T @ s)
+            s -= U[:, :J] @ _project(U[:, :J], s)
         a = np.linalg.norm(s)
         if a <= _BREAKDOWN * alphas[:J].max():
             exhausted = True
             continue
         alphas[J] = a
-        U[:, J] = s / a
+        u_new = s / a
+        U[:, J] = u_new
         J += 1
 
 
@@ -232,16 +262,17 @@ def _lanczos_cycle(G, q0, cap, tol):
     alphas = np.zeros(cap)
     betas = np.zeros(cap)
     Q[:, 0] = q0
+    q = q0  # the newest Lanczos vector, contiguous for the operator
     j = 0
     exhausted = False
     while True:
-        w = G.matvec(Q[:, j])
+        w = G.matvec(q)
         alphas[j] = float(np.real(np.vdot(Q[:, j], w)))
         w = w - alphas[j] * Q[:, j]
         if j > 0:
             w = w - betas[j - 1] * Q[:, j - 1]
         for _ in range(2):
-            w -= Q[:, : j + 1] @ (Q[:, : j + 1].conj().T @ w)
+            w -= Q[:, : j + 1] @ _project(Q[:, : j + 1], w)
         J = j + 1
         b = np.linalg.norm(w)
         scale = max(float(np.abs(alphas[:J]).max()), float(betas[:J].max()), 1e-300)
@@ -253,11 +284,16 @@ def _lanczos_cycle(G, q0, cap, tol):
                 T += np.diag(betas[: J - 1], 1) + np.diag(betas[: J - 1], -1)
             evals, evecs = np.linalg.eigh(T)
             lam = evals[0]
-            u = Q[:, :J] @ evecs[:, 0]
-            resid = np.linalg.norm(G.matvec(u) - lam * u)
             norm_est = max(abs(float(evals[0])), abs(float(evals[-1])))
-            if exhausted or J == cap or resid <= tol * max(norm_est, 1e-300):
-                return u, lam, resid, norm_est, J, exhausted
+            bound = tol * max(norm_est, 1e-300)
+            final = exhausted or J == cap
+            # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
+            if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
+                u = Q[:, :J] @ evecs[:, 0]
+                resid = np.linalg.norm(G.matvec(u) - lam * u)
+                if final or resid <= bound:
+                    return u, lam, resid, norm_est, J, exhausted
         betas[j] = b
-        Q[:, j + 1] = w / b
+        q = w / b
+        Q[:, j + 1] = q
         j += 1

@@ -14,6 +14,7 @@ from sketchycgm import (
     ProblemSpec,
     SpectralConfig,
 )
+from sketchycgm.spectral import _as_linop
 
 
 def dense_sensing_matrix(op) -> np.ndarray:
@@ -40,6 +41,27 @@ def measure_via_dense(op, X) -> np.ndarray:
 def adjoint_via_dense(op, z) -> np.ndarray:
     A = dense_sensing_matrix(op)
     return (A.conj().T @ np.asarray(z)).reshape(op.m, op.n)
+
+
+class CountingLinop:
+    """Counts the matvec and rmatvec calls made on a linear operator.
+
+    Wraps anything the spectral routines accept (a dense array, or an object
+    with shape, iscomplex, matvec and rmatvec) and applies it unchanged.
+    """
+
+    def __init__(self, G):
+        self.inner = _as_linop(G)
+        self.shape, self.iscomplex = self.inner.shape, self.inner.iscomplex
+        self.calls = 0
+
+    def matvec(self, v):
+        self.calls += 1
+        return self.inner.matvec(v)
+
+    def rmatvec(self, u):
+        self.calls += 1
+        return self.inner.rmatvec(u)
 
 
 def random_mask(rng, m, n, frac):

@@ -146,6 +146,22 @@ class TestCodedDiffraction:
         b = CodedDiffractionOperator(8, 2, seed=3)
         np.testing.assert_array_equal(a.modulations, b.modulations)
 
+    @pytest.mark.parametrize("n, views, seed", [(8, 3, 0), (33, 5, 1), (64, 10, 2)])
+    @pytest.mark.parametrize("complex_z", [False, True])
+    def test_fused_adjoints_round_like_the_composition(self, n, views, seed, complex_z):
+        # the one-buffer adjoints give the sense/adjoint composition bit for bit
+        op = CodedDiffractionOperator(n, views, seed=seed)
+        rng = np.random.default_rng(seed)
+        z = _rand_vec(rng, op.d, complex_z)
+        for x in (_rand_vec(rng, n, True), _rand_vec(rng, n, False)):
+            np.testing.assert_array_equal(
+                op.right_apply_adjoint(z, x), op._sense_adjoint(z * op._sense(x))
+            )
+            np.testing.assert_array_equal(
+                op.left_apply_adjoint(z, x),
+                np.conj(op._sense_adjoint(np.conj(z) * op._sense(x))),
+            )
+
     def test_modulation_magnitudes(self):
         op = CodedDiffractionOperator(64, 8, seed=1)
         mags = np.abs(op.modulations).ravel()

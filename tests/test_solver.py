@@ -1,8 +1,11 @@
 """Solver loop: schedule, directions, gap, invariants, termination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import sketchycgm.solver
 from sketchycgm import (
     CodedDiffractionOperator,
     EntrySamplingOperator,
@@ -10,13 +13,16 @@ from sketchycgm import (
     NoConvergence,
     ProblemSpec,
     SpectralConfig,
+    SyntheticPhaseSpec,
     duality_gap,
+    gen_phase_problem,
     init_state,
     learning_rate,
     select_alpha_phase,
     solve,
     update_direction,
 )
+from sketchycgm.memory import ledger
 from sketchycgm.solver import _apply_update
 from helpers import spiked_completion_problem
 
@@ -200,6 +206,37 @@ def test_strict_mode_raises_with_partial_result():
     factors, trace = exc.value.result
     assert trace[-1].t == 3
     assert factors.dense().shape == (8, 6)
+
+
+def test_back_to_back_solves_release_the_sketch():
+    # the operator stays charged: the caller built it and still holds it
+    prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=20)
+    before = ledger.live().get("sketch", 0)
+    solve(prob)
+    solve(prob)
+    assert ledger.live().get("sketch", 0) == before
+
+
+def test_lmo_failure_keeps_partial_result(monkeypatch):
+    prob = spiked_completion_problem(13, m=8, n=6, eps=1e-300, max_iters=10)
+    ref_factors, ref_trace = solve(replace(prob, max_iters=3))
+    lmo = sketchycgm.solver.max_sing_vec
+
+    def fail_at_t3(G, cfg, start_seed):
+        if start_seed[1] == 3:
+            raise NoConvergence("forced at t=3")
+        return lmo(G, cfg, start_seed=start_seed)
+
+    monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
+    before = ledger.live().get("sketch", 0)
+    with pytest.raises(NoConvergence) as exc:
+        solve(prob)
+    assert ledger.live().get("sketch", 0) == before
+    factors, trace = exc.value.result
+    assert [rec.t for rec in trace] == [0, 1, 2]
+    assert [rec.gap for rec in trace] == [rec.gap for rec in ref_trace[:3]]
+    # the sketch holds the same three updates as a run capped at t=3
+    np.testing.assert_array_equal(factors.dense(), ref_factors.dense())
 
 
 def test_trace_every_keeps_terminal_record():

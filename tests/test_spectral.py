@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sketchycgm.spectral
 from sketchycgm import (
     CodedDiffractionOperator,
     EntrySamplingOperator,
@@ -15,7 +16,7 @@ from sketchycgm import (
     max_sing_vec,
     min_eig,
 )
-from helpers import random_mask
+from helpers import CountingLinop, random_mask
 
 
 def _aligned(a, b, tol):
@@ -159,3 +160,64 @@ class TestMinEig:
         resid = G.matvec(u) - lam * u
         scale = max(abs(lam), np.linalg.norm(G.matvec(u)))
         assert np.linalg.norm(resid) <= 1e-7 * max(scale, 1e-30)
+
+
+def _symmetric_entry_sampling(rng, n, frac):
+    """Implicit Hermitian matrix over a mirrored entry sample with mirrored values."""
+    rows, cols = random_mask(rng, n, n, frac)
+    keep = rows <= cols
+    rows, cols = rows[keep], cols[keep]
+    off = rows < cols
+    op = EntrySamplingOperator(n, n, np.r_[rows, cols[off]], np.r_[cols, rows[off]])
+    vals = rng.standard_normal(rows.size)
+    return ImplicitGradientMatrix(op, np.r_[vals, vals[off]])
+
+
+def _gate_case(name, hermitian):
+    rng = np.random.default_rng(11)
+    if name == "dense-real":
+        A = rng.standard_normal((60, 60) if hermitian else (60, 45))
+        return 0.5 * (A + A.T) if hermitian else A
+    if name == "dense-complex":
+        shape = (50, 50) if hermitian else (50, 35)
+        A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return 0.5 * (A + A.conj().T) if hermitian else A
+    if name == "entry-sampling":
+        if hermitian:
+            return _symmetric_entry_sampling(rng, 50, 0.5)
+        rows, cols = random_mask(rng, 60, 45, 0.5)
+        op = EntrySamplingOperator(60, 45, rows, cols)
+        return ImplicitGradientMatrix(op, rng.standard_normal(op.d))
+    op = CodedDiffractionOperator(64, 4, seed=3)
+    return ImplicitGradientMatrix(op, rng.standard_normal(op.d))
+
+
+def _counted(routine, G, cfg):
+    counted = CountingLinop(G)
+    return routine(counted, cfg), counted.calls
+
+
+_GATE_NAMES = ("dense-real", "dense-complex", "entry-sampling", "coded-diffraction")
+
+
+class TestRitzGate:
+    """The gate skips explicit residuals that cannot pass and changes no output."""
+
+    @pytest.mark.parametrize("name", _GATE_NAMES)
+    @pytest.mark.parametrize("routine", [min_eig, max_sing_vec], ids=["min_eig", "max_sing_vec"])
+    def test_gate_keeps_outputs_and_saves_matvecs(self, monkeypatch, routine, name):
+        G = _gate_case(name, hermitian=routine is min_eig)
+        cfg = SpectralConfig(tol=1e-10)
+        gated, gated_calls = _counted(routine, G, cfg)
+        # the reference runs the explicit residual at every check
+        monkeypatch.setattr(sketchycgm.spectral, "_RITZ_GATE", np.inf)
+        opened, opened_calls = _counted(routine, G, cfg)
+        assert len(gated) == len(opened)
+        for a, b in zip(gated, opened):
+            np.testing.assert_array_equal(a, b)
+        # a skipped check never stops a cycle, so a saving shows that the run
+        # made at least two checks and the gate held one of them back
+        if name == "coded-diffraction":
+            assert gated_calls < opened_calls
+        else:
+            assert gated_calls <= opened_calls
