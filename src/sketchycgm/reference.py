@@ -178,8 +178,9 @@ def cgm_dense_solve(
             callback(DenseIterate(X=X, t=record.t, gap=record.gap))
 
     direction = update_direction if spectral_mode == "lanczos" else _exact_direction
+    trace = []
     with ledger.track("dense_cgm", width * (2 * m * n + k * (m + n + 1))):
-        trace = _cgm_loop(spec, _initial_z(spec), direction, advance, observe, trace_every, [])
+        _cgm_loop(spec, _initial_z(spec), direction, advance, observe, trace_every, trace)
     return X, trace
 
 

@@ -203,7 +203,7 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
     otherwise advance(z, vertex, eta) moves the caller's iterate and returns
     the next z. The loss data count as live storage while the loop runs.
     Records go to the caller's list ``trace``, so they outlive a failure
-    inside the loop; it is also returned.
+    inside the loop.
     """
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
@@ -228,7 +228,7 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
                 observe(record)
                 trace.append(record)
             if terminal:
-                return trace
+                return
             z = advance(z, vert, eta)
             t += 1
 

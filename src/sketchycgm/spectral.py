@@ -17,8 +17,10 @@ extra product with G (two for Golub-Kahan), is the only stopping test and
 is what a cycle reports. The free Ritz estimate, beta_J times the last
 component of the small Ritz vector, only decides whether a check is worth
 that product: a check runs it once the estimate is within ``_RITZ_GATE``
-of the tolerance. Projections onto the basis read it in place, with no
-conjugated copy.
+of the tolerance. Golub-Kahan pays for its estimate with the next G* u,
+computed before the check; when that check converges below the Krylov
+cap, the product goes unused. Projections onto the basis read it in
+place, with no conjugated copy.
 """
 
 from __future__ import annotations
@@ -184,7 +186,9 @@ def _gk_cycle(G, v0, cap, tol):
     exhausted = False
     while True:
         if not exhausted and J < cap:
-            # the next right vector comes first: its norm prices the Ritz estimate
+            # the next right vector comes first: its norm prices the Ritz
+            # estimate. A cycle that then converges at a periodic check has
+            # paid this rmatvec for nothing, one call more than checking first.
             r = G.rmatvec(u_new) - alphas[J - 1] * V[:, J - 1]
             for _ in range(2):
                 r -= V[:, :J] @ _project(V[:, :J], r)
