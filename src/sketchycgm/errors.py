@@ -31,7 +31,13 @@ class ImaginaryLeakage(RuntimeError):
 
 class RankDeficientPsiQ(RuntimeError):
     """The least-squares system coupling the co-range sketch to the range basis
-    is numerically rank-deficient, indicating a degenerate test-matrix draw."""
+    is numerically rank-deficient, indicating a degenerate test-matrix draw.
+
+    When raised inside the solver, ``result`` holds (None, trace so far): no
+    reconstruction exists, but the records made up to the failure survive.
+    """
+
+    result = None
 
 
 class ZeroGradient(RuntimeError):

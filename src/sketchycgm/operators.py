@@ -20,6 +20,11 @@ The Fourier families measure quadratic forms diag(A X A*) for a tall sensing
 matrix A applied by FFT; A is never built densely. Operators are immutable
 after construction and store Theta(d) parameters.
 
+Entry sampling keeps the caller's measurement order and is fastest on a
+row-grouped index set (row-major order, as the loaders and the completion
+generator give): it then stores about d index scalars. Unsorted input stays
+correct but is slower and can cost up to 4d ledger scalars.
+
 DFTs are unitary throughout. Entry indices in text files are 1-based; in
 memory everything is 0-based.
 """
@@ -56,6 +61,12 @@ def _check_vector(x, size: int, name: str, finite: bool = True) -> np.ndarray:
     if finite and not np.all(np.isfinite(x)):
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return x
+
+
+def _times(z: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """z * picked, written over the fresh gather ``picked`` when its dtype can hold it."""
+    picked = picked.astype(np.result_type(z, picked), copy=False)
+    return np.multiply(z, picked, out=picked)
 
 
 def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -139,7 +150,21 @@ class MeasurementOperator:
 
 
 class EntrySamplingOperator(MeasurementOperator):
-    """Picks individual matrix entries at a fixed, duplicate-free index set."""
+    """Picks individual matrix entries at a fixed, duplicate-free index set.
+
+    Measurements follow the caller's index order. The index set is stored as
+    its columns plus its row runs, the maximal stretches of equal row index,
+    kept as start, row and length arrays; ``rows`` is expanded from the runs
+    on demand. Both adjoints work a run at a time: the right one sums each
+    run with ``np.add.reduceat`` and scatters one value per run, the left one
+    repeats each picked entry of u over its run. So no random row gather or
+    scatter over the d measurements remains.
+
+    A row-grouped index set (row-major order, for one) has one run per
+    occupied row: it is the fastest and costs d plus 3 scalars per occupied
+    row. Any other order stays correct but can have up to d runs, so it is
+    slower and costs up to 4d scalars.
+    """
 
     def __init__(self, m: int, n: int, rows, cols):
         rows = np.asarray(rows, dtype=np.intp).ravel()
@@ -150,31 +175,43 @@ class EntrySamplingOperator(MeasurementOperator):
             raise ValueError("the sampled index set is empty")
         if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
             raise IndexOutOfRange("entry index outside the m-by-n grid")
-        flat = rows * np.intp(n) + cols
-        if np.unique(flat).size != flat.size:
+        flat = np.sort(rows * np.intp(n) + cols)
+        if np.any(flat[1:] == flat[:-1]):
             raise ValueError("duplicate (row, col) pairs are not allowed")
         super().__init__(m, n, rows.size, np.float64, "entry_sampling")
-        self.rows = rows
         self.cols = cols
-        ledger.add("operators", nscalars(rows, cols))
+        self.run_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.run_rows = rows[self.run_starts]
+        self.run_lengths = np.diff(self.run_starts, append=rows.size)
+        ledger.add(
+            "operators", nscalars(cols, self.run_starts, self.run_rows, self.run_lengths)
+        )
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Row index of each measurement, expanded from the row runs."""
+        return np.repeat(self.run_rows, self.run_lengths)
+
+    def _expand(self, u: np.ndarray) -> np.ndarray:
+        # u[rows], one gather per run
+        return np.repeat(u[self.run_rows], self.run_lengths)
 
     def apply_rank_one(self, u, v) -> np.ndarray:
         u = _check_vector(u, self.m, "u")
         v = _check_vector(v, self.n, "v")
-        return u[self.rows] * np.conj(v[self.cols])
+        return self._expand(u) * np.conj(v[self.cols])
 
     def left_apply_adjoint(self, z, u) -> np.ndarray:
         z = _check_vector(z, self.d, "z", finite=False)
         u = _check_vector(u, self.m, "u", finite=False)
-        picked = u[self.rows]
-        if np.iscomplexobj(picked):
-            np.conj(picked, out=picked)
-        return _bincount(self.cols, z * picked, self.n)
+        picked = self._expand(np.conj(u) if np.iscomplexobj(u) else u)
+        return _bincount(self.cols, _times(z, picked), self.n)
 
     def right_apply_adjoint(self, z, v) -> np.ndarray:
         z = _check_vector(z, self.d, "z", finite=False)
         v = _check_vector(v, self.n, "v", finite=False)
-        return _bincount(self.rows, z * v[self.cols], self.m)
+        run_sums = np.add.reduceat(_times(z, v[self.cols]), self.run_starts)
+        return _bincount(self.run_rows, run_sums, self.m)
 
 
 class RowMeasurementOperator(MeasurementOperator):
@@ -366,10 +403,13 @@ def entry_sampling_from_file(path, m: int | None = None, n: int | None = None):
     """Load an entry-sampling operator from a triples file.
 
     Values are returned alongside the operator; they are consumed by losses
-    and evaluation, not by the operator itself. Dimensions default to the
-    largest index seen.
+    and evaluation, not by the operator itself. Entries come in row-major
+    order, the operator's fastest layout, whatever the file order.
+    Dimensions default to the largest index seen.
     """
     rows, cols, values = read_triples(path)
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
     m = int(rows.max()) + 1 if m is None else int(m)
     n = int(cols.max()) + 1 if n is None else int(n)
     if rows.max() >= m or cols.max() >= n:

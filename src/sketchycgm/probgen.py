@@ -180,7 +180,8 @@ def gen_completion_problem(
 
     Returns (ProblemSpec, (G1, G2), EvalSpec) where the truth is
     G1 @ G2.T. Observed entries are drawn uniformly without replacement
-    and split into disjoint train/test sets; alpha defaults to the exact
+    and split into disjoint train/test sets; the training entries, and so
+    the measurements, come in row-major order. alpha defaults to the exact
     Schatten-1 norm of the truth.
     """
     ss = np.random.SeedSequence(spec.seed)
@@ -204,6 +205,8 @@ def gen_completion_problem(
     n_test = min(n_test, count - 1)  # keep at least one training entry
     perm = mrng.permutation(count)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
+    # row-major order is the operator's fast layout: one row run per occupied row
+    train_idx = train_idx[np.argsort(flat[train_idx])]
 
     op = EntrySamplingOperator(spec.m, spec.n, rows[train_idx], cols[train_idx])
     b_train = values[train_idx]
@@ -251,11 +254,15 @@ def load_triples(path, binarize_threshold: float = BINARIZE_THRESHOLD):
     """Load a ratings file into an entry-sampling operator.
 
     Rows and columns with no observations are removed and the remaining
-    indices compacted. Returns (operator, values, labels) where labels
-    binarize the ratings: above the threshold maps to +1, the rest to -1.
+    indices compacted. Entries come in row-major order, the operator's
+    fastest layout, whatever the file order. Returns (operator, values,
+    labels) where labels binarize the ratings: above the threshold maps to
+    +1, the rest to -1.
     """
     raw_rows, raw_cols, values = read_triples(path)
     rows, cols, m, n = _compact(raw_rows, raw_cols)
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
     op = EntrySamplingOperator(m, n, rows, cols)
     labels = np.where(values > binarize_threshold, 1.0, -1.0)
     return op, values, labels

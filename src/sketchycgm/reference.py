@@ -89,11 +89,18 @@ class EvalSpec:
         if (self.train_rows is None) != (self.train_cols is None):
             raise ValueError("supply both train index arrays or neither")
         if self.train_rows is not None:
-            train = set(zip(np.asarray(self.train_rows).tolist(),
-                            np.asarray(self.train_cols).tolist()))
-            test = set(zip(self.rows.tolist(), self.cols.tolist()))
-            if train & test:
-                raise ValueError("test entries overlap the training set")
+            train_rows = np.asarray(self.train_rows, dtype=np.intp).ravel()
+            train_cols = np.asarray(self.train_cols, dtype=np.intp).ravel()
+            if train_rows.size != train_cols.size:
+                raise DimensionMismatch("train_rows and train_cols must have equal length")
+            if train_rows.size:
+                # flat indices on a grid wide enough for every column of both sets
+                width = int(np.concatenate((self.cols.ravel(), train_cols)).max()) + 1
+                train = np.sort(train_rows * width + train_cols)
+                test = self.rows.ravel() * width + self.cols.ravel()
+                nearest = np.minimum(np.searchsorted(train, test), train.size - 1)
+                if np.any(train[nearest] == test):
+                    raise ValueError("test entries overlap the training set")
 
 
 def measure_dense(op, X: np.ndarray) -> np.ndarray:

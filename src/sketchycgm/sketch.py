@@ -9,8 +9,9 @@ tracks the shadows of an m-by-n matrix X that is never formed:
 
 Rank-one linear updates X <- beta1 X + beta2 u v* cost Theta(r (m + n)).
 Reconstruction orthogonalizes Y into a range basis Q, solves the least
-squares system (Psi Q) B = W, and truncates the SVD of B to rank r, giving
-a factorization of Q [B]_r without any m-by-n intermediate.
+squares system (Psi Q) B = W through one thin SVD of Psi Q, and truncates
+the SVD of B to rank r, giving a factorization of Q [B]_r without any
+m-by-n intermediate.
 """
 
 from __future__ import annotations
@@ -228,14 +229,14 @@ class Sketch:
         scratch = width * (dims.m * k + ell * k + k * dims.n + 2 * k * k)
         with ledger.track("sketch", scratch):
             Q, _ = np.linalg.qr(self.Y)
-            PsiQ = self.Psi @ Q
-            sv = np.linalg.svd(PsiQ, compute_uv=False)
+            # one SVD of Psi Q both certifies its rank and solves (Psi Q) B = W
+            Up, sv, Vph = np.linalg.svd(self.Psi @ Q, full_matrices=False)
             if sv[-1] <= _PSIQ_RCOND * sv[0]:
                 raise RankDeficientPsiQ(
                     f"smallest singular value ratio {sv[-1] / sv[0]:.3e} "
                     f"below {_PSIQ_RCOND:.0e}"
                 )
-            B = np.linalg.lstsq(PsiQ, self.W, rcond=None)[0]
+            B = (Vph.conj().T / sv) @ (Up.conj().T @ self.W)
             Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
             U = Q @ Ub[:, :r]
             S = s[:r].copy()

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, ZeroGradient
+from .errors import DimensionMismatch, NoConvergence, RankDeficientPsiQ, ZeroGradient
 from .losses import Loss
 from .memory import ledger, nscalars
 from .operators import MeasurementOperator
@@ -258,7 +258,8 @@ def solve(
     record. Hitting max_iters is non-fatal by default: partial results are
     first-class. With strict=True it raises NoConvergence whose .result
     holds the same (factors, trace) pair. A NoConvergence from the spectral
-    routines also carries the reconstruction and the records made so far.
+    routines also carries the reconstruction and the records made so far; a
+    RankDeficientPsiQ from a reconstruction carries (None, records so far).
     The sketch's scalars go back to the ledger before solve returns.
     """
     state = init_state(spec)
@@ -282,6 +283,9 @@ def solve(
         factors = state.sketch.reconstruct(psd=psd)
     except NoConvergence as exc:
         exc.result = (state.sketch.reconstruct(psd=psd), trace)
+        raise
+    except RankDeficientPsiQ as exc:
+        exc.result = (None, trace)
         raise
     finally:
         state.sketch.release()

@@ -23,6 +23,7 @@ from sketchycgm import (
     ParseError,
     PtychographyBandpassOperator,
     entry_sampling_from_file,
+    ledger,
     read_triples,
     write_triples,
 )
@@ -79,9 +80,48 @@ class TestEntrySampling:
         rows, cols = random_mask(rng, 6, 4, 0.5)
         _check_against_dense(EntrySamplingOperator(6, 4, rows, cols), rng)
 
+    @pytest.mark.parametrize(
+        "rows, cols, run_rows, run_lengths",
+        [
+            ([0, 0, 1, 1, 1, 3], [0, 2, 1, 2, 3, 0], [0, 1, 3], [2, 3, 1]),
+            ([0, 1, 0, 2, 1], [0, 1, 2, 3, 3], [0, 1, 0, 2, 1], [1, 1, 1, 1, 1]),
+            ([3, 1, 0, 4, 2], [1, 3, 0, 2, 2], [3, 1, 0, 4, 2], [1, 1, 1, 1, 1]),
+            ([4, 4, 4, 0], [0, 3, 1, 1], [4, 0], [3, 1]),
+        ],
+        ids=["row-grouped", "interleaved", "one-per-row", "empty-rows"],
+    )
+    @pytest.mark.parametrize("complex_uv", [False, True])
+    def test_row_runs_against_dense(self, rows, cols, run_rows, run_lengths, complex_uv):
+        op = EntrySamplingOperator(5, 4, rows, cols)
+        np.testing.assert_array_equal(op.run_rows, run_rows)
+        np.testing.assert_array_equal(op.run_lengths, run_lengths)
+        np.testing.assert_array_equal(op.rows, rows)
+        A = dense_sensing_matrix(op)
+        rng = np.random.default_rng(len(run_rows))
+        u, v = _rand_vec(rng, 5, complex_uv), _rand_vec(rng, 4, complex_uv)
+        z = rng.standard_normal(op.d)
+        G = adjoint_via_dense(op, z)
+        X = np.outer(u, np.conj(v))
+        np.testing.assert_allclose(op.apply_rank_one(u, v), A @ X.ravel(), atol=1e-12)
+        np.testing.assert_allclose(op.right_apply_adjoint(z, v), G @ v, atol=1e-12)
+        np.testing.assert_allclose(op.left_apply_adjoint(z, u), u.conj() @ G, atol=1e-12)
+
+    def test_row_grouped_ledger_charge(self):
+        # columns plus three scalars per row run, below the 2d of stored row and column indices
+        rng = np.random.default_rng(4)
+        rows, cols = random_mask(rng, 20, 30, 0.5)
+        order = np.lexsort((cols, rows))
+        before = ledger.live().get("operators", 0)
+        op = EntrySamplingOperator(20, 30, rows[order], cols[order])
+        charge = ledger.live()["operators"] - before
+        assert charge == op.d + 3 * np.unique(rows).size
+        assert charge < 2 * op.d
+
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             EntrySamplingOperator(3, 3, [0, 0], [1, 1])
+        with pytest.raises(ValueError, match="duplicate"):
+            EntrySamplingOperator(3, 3, [2, 0, 1, 0], [1, 2, 0, 2])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexOutOfRange):
@@ -259,6 +299,17 @@ class TestTriplesIO:
         op, values = entry_sampling_from_file(path)
         assert (op.m, op.n) == (5, 3)
         np.testing.assert_array_equal(values, [1.0, 2.0])
+
+    def test_entry_sampling_from_file_is_row_major(self, tmp_path):
+        path = os.path.join(tmp_path, "obs.txt")
+        rng = np.random.default_rng(9)
+        rows, cols = random_mask(rng, 6, 5, 0.5)
+        vals = rng.standard_normal(rows.size)
+        write_triples(path, rows, cols, vals)
+        op, values = entry_sampling_from_file(path, m=6, n=5)
+        assert np.all(np.diff(op.rows * op.n + op.cols) > 0)
+        loaded = zip(op.rows.tolist(), op.cols.tolist(), values.tolist())
+        assert sorted(loaded) == sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
     def test_entry_sampling_from_file_explicit_shape(self, tmp_path):
         path = os.path.join(tmp_path, "obs.txt")

@@ -163,7 +163,22 @@ class TestLoadTriples:
         write_triples(path, [0, 9, 9], [2, 7, 2], [4.0, 3.0, 5.0])
         op, values, labels = load_triples(path)
         assert (op.m, op.n) == (2, 2)
-        np.testing.assert_array_equal(values, [4.0, 3.0, 5.0])
+        # row-major: (0, 0), (1, 0), (1, 1) after compaction
+        np.testing.assert_array_equal(op.rows, [0, 1, 1])
+        np.testing.assert_array_equal(op.cols, [0, 0, 1])
+        np.testing.assert_array_equal(values, [4.0, 5.0, 3.0])
+
+    def test_shuffled_file_loads_row_major_and_paired(self, tmp_path):
+        path = str(tmp_path / "ratings.txt")
+        rng = np.random.default_rng(3)
+        rows, cols = np.divmod(rng.permutation(4 * 3), 3)  # every cell of a 4 x 3 grid
+        vals = rng.integers(1, 6, rows.size).astype(float)
+        write_triples(path, rows, cols, vals)
+        op, values, labels = load_triples(path)
+        assert np.all(np.diff(op.rows * op.n + op.cols) > 0)
+        loaded = zip(op.rows.tolist(), op.cols.tolist(), values.tolist())
+        assert sorted(loaded) == sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+        np.testing.assert_array_equal(labels, np.where(values > BINARIZE_THRESHOLD, 1.0, -1.0))
 
     def test_binarization_threshold(self, tmp_path):
         path = str(tmp_path / "ratings.txt")

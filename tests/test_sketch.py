@@ -167,6 +167,23 @@ def test_rank_deficient_psiq_detected():
     sk.release()
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_reconstruction_solve_matches_lstsq(field):
+    # the thin-SVD solve of (Psi Q) B = W against a least-squares solver
+    rng = np.random.default_rng(11)
+    m, n, r = 40, 30, 5
+    sk = Sketch(m, n, r, field=field, seed=2)
+    for _ in range(2 * r):
+        sk.linear_update(0.9, 1.0, *_rand_pair(rng, m, n, field == "complex"))
+    Q = np.linalg.qr(sk.Y)[0]
+    B = np.linalg.lstsq(sk.Psi @ Q, sk.W, rcond=None)[0]
+    Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
+    expect = (Q @ Ub[:, :r] * s[:r]) @ Vh[:r]
+    got = sk.reconstruct().dense()
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+    sk.release()
+
+
 def test_release_returns_scalars_to_ledger():
     before = ledger.live().get("sketch", 0)
     sk = Sketch(30, 20, 2, field="real", seed=0)

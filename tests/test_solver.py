@@ -12,6 +12,7 @@ from sketchycgm import (
     Loss,
     NoConvergence,
     ProblemSpec,
+    RankDeficientPsiQ,
     SpectralConfig,
     SyntheticPhaseSpec,
     duality_gap,
@@ -237,6 +238,25 @@ def test_lmo_failure_keeps_partial_result(monkeypatch):
     assert [rec.gap for rec in trace] == [rec.gap for rec in ref_trace[:3]]
     # the sketch holds the same three updates as a run capped at t=3
     np.testing.assert_array_equal(factors.dense(), ref_factors.dense())
+
+
+@pytest.mark.parametrize("monitored", [False, True])
+def test_degenerate_sketch_keeps_trace(monitored):
+    # a rank-one Psi from t=2 on makes the next reconstruction rank deficient:
+    # the per-record one when monitored, the final one otherwise
+    prob = spiked_completion_problem(14, m=8, n=6, eps=1e-300, max_iters=5)
+
+    def collapse_psi(record, state):
+        if record.t == 2:
+            state.sketch.Psi[:] = state.sketch.Psi[0]
+
+    before = ledger.live().get("sketch", 0)
+    with pytest.raises(RankDeficientPsiQ) as exc:
+        solve(prob, eval_fn=(lambda factors: {}) if monitored else None, callback=collapse_psi)
+    assert ledger.live().get("sketch", 0) == before
+    factors, trace = exc.value.result
+    assert factors is None
+    assert [rec.t for rec in trace] == ([0, 1, 2] if monitored else [0, 1, 2, 3, 4, 5])
 
 
 def test_trace_every_keeps_terminal_record():
