@@ -13,9 +13,8 @@ fields excepted. Failures exit nonzero after printing a machine-readable
 error JSON.
 
 Storage is measured in live scalar counts through the allocation ledger
-(re-exported here) rather than process RSS: deterministic and platform
-independent, which is what makes the linear-vs-quadratic scaling claims
-testable.
+rather than process RSS: deterministic and platform independent, which is
+what makes the linear-vs-quadratic scaling claims testable.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import ParseError, TooLargeForDense
 from .losses import LOSS_KINDS, Loss
-from .memory import AllocationLedger, ledger, nscalars
+from .memory import ledger
 from .operators import entry_sampling_from_file, write_triples
 from .probgen import (
     BINARIZE_THRESHOLD,
@@ -46,9 +45,6 @@ from .solver import ProblemSpec, TEMPLATES, VARIANTS, select_alpha_phase, solve
 from .spectral import SpectralConfig
 
 __all__ = [
-    "AllocationLedger",
-    "ledger",
-    "nscalars",
     "build_parser",
     "main",
     "run_solve",

@@ -225,8 +225,15 @@ class Sketch:
             zero_v = zero_u if psd else np.zeros((dims.n, r), dtype=self.field)
             return FactoredMatrix(zero_u, np.zeros(r), zero_v)
         width = 2 if self.field == np.complex128 else 1
-        k, ell = dims.k, dims.ell
-        scratch = width * (dims.m * k + ell * k + k * dims.n + 2 * k * k)
+        m, n, k, ell = dims.m, dims.n, dims.k, dims.ell
+        # an upper bound on the arrays live at once: the QR of Y (two m x k),
+        # the k x n solve B beside U* W and then beside Vh, the small factors
+        # of Psi Q and B, and the rank-r result; the psd clip adds its m x 2r
+        # stack J, the QR of J and the rotated eigenvectors
+        scratch = 2 * m * k + 2 * k * n + r * (m + n) + 2 * ell * k + 3 * k * k
+        if psd:
+            scratch += 7 * m * r
+        scratch *= width
         with ledger.track("sketch", scratch):
             Q, _ = np.linalg.qr(self.Y)
             # one SVD of Psi Q both certifies its rank and solves (Psi Q) B = W

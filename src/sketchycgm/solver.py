@@ -101,8 +101,6 @@ class SolverState:
     z: np.ndarray
     sketch: Sketch
     t: int = 0
-    last_gap: float = np.inf
-    eta: float = 0.0
 
 
 @dataclass
@@ -236,7 +234,6 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
 def _apply_update(state: SolverState, direction: Direction, eta: float) -> np.ndarray:
     state.z = (1.0 - eta) * state.z + eta * direction.h
     state.sketch.cgm_update(direction.left, direction.right, eta)
-    state.eta = eta
     state.t += 1
     return state.z
 
@@ -258,7 +255,8 @@ def solve(
     record. Hitting max_iters is non-fatal by default: partial results are
     first-class. With strict=True it raises NoConvergence whose .result
     holds the same (factors, trace) pair. A NoConvergence from the spectral
-    routines also carries the reconstruction and the records made so far; a
+    routines also carries the reconstruction and the records made so far, or
+    (None, records so far) when that reconstruction is rank deficient; a
     RankDeficientPsiQ from a reconstruction carries (None, records so far).
     The sketch's scalars go back to the ledger before solve returns.
     """
@@ -266,7 +264,6 @@ def solve(
     psd = spec.template == "psd"
 
     def observe(record):
-        state.last_gap = record.gap
         if eval_fn is not None:
             record.metrics = eval_fn(state.sketch.reconstruct(psd=psd))
         if callback is not None:
@@ -282,16 +279,21 @@ def solve(
             )
         factors = state.sketch.reconstruct(psd=psd)
     except NoConvergence as exc:
-        exc.result = (state.sketch.reconstruct(psd=psd), trace)
+        try:
+            factors = state.sketch.reconstruct(psd=psd)
+        except RankDeficientPsiQ:
+            factors = None
+        exc.result = (factors, trace)
         raise
     except RankDeficientPsiQ as exc:
         exc.result = (None, trace)
         raise
     finally:
         state.sketch.release()
-    if strict and not state.last_gap <= spec.eps:
+    last = trace[-1]
+    if strict and not last.gap <= spec.eps:
         raise NoConvergence(
-            f"gap {state.last_gap:.3e} above eps {spec.eps:.3e} after {state.t} iterations",
+            f"gap {last.gap:.3e} above eps {spec.eps:.3e} after {last.t} iterations",
             result=(factors, trace),
         )
     return factors, trace

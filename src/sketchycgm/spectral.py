@@ -2,25 +2,26 @@
 
 The matrix G = adjoint(z) built from a gradient vector z is reached only
 through one-sided products G v and G* u supplied by a measurement operator;
-it is never materialized. ``max_sing_vec`` runs restarted Golub-Kahan
-bidiagonalization with full reorthogonalization. ``min_eig`` runs restarted
-Hermitian Lanczos tridiagonalization and reads off the minimum Ritz pair;
-because Krylov spaces are shift invariant this coincides with shifting by a
-norm estimate and chasing the top of the shifted matrix, and the norm
-estimate survives as the residual scale. Start vectors are drawn from a
-seeded generator so that independent runs reproduce identical direction
-sequences. Workspace is bounded by the Krylov cap, keeping storage linear
-in m + n.
+it is never materialized. One Krylov engine serves both templates:
+``min_eig`` runs restarted Hermitian Lanczos tridiagonalization with full
+reorthogonalization and reads off the minimum Ritz pair; because Krylov
+spaces are shift invariant this coincides with shifting by a norm estimate
+and chasing the top of the shifted matrix, and the norm estimate survives
+as the residual scale. ``max_sing_vec`` takes the bottom eigenvector v of
+-G* G from ``min_eig`` (Golub-Kahan bidiagonalization in exact arithmetic)
+and closes with one product u = G v / sigma. Each Lanczos step on -G* G
+costs one G v and one G* u, and only the n-side basis is stored, so the
+workspace is width * n * cap scalars for a Krylov cap of cap. Start
+vectors are drawn from a seeded generator so that independent runs
+reproduce identical direction sequences.
 
 Every few steps a cycle checks convergence. The explicit residual, one
-extra product with G (two for Golub-Kahan), is the only stopping test and
-is what a cycle reports. The free Ritz estimate, beta_J times the last
+extra product with the Hermitian matrix, is the only stopping test and is
+what a cycle reports. The free Ritz estimate, beta_J times the last
 component of the small Ritz vector, only decides whether a check is worth
 that product: a check runs it once the estimate is within ``_RITZ_GATE``
-of the tolerance. Golub-Kahan pays for its estimate with the next G* u,
-computed before the check; when that check converges below the Krylov
-cap, the product goes unused. Projections onto the basis read it in
-place, with no conjugated copy.
+of the tolerance. Projections onto the basis read it in place, with no
+conjugated copy.
 """
 
 from __future__ import annotations
@@ -129,6 +130,20 @@ def _canonical_phase(u: np.ndarray):
     return np.conj(p / abs(p))
 
 
+class _NegatedGram:
+    """The n-by-n Hermitian matrix -G* G, applied as one G v and one G* u."""
+
+    def __init__(self, G):
+        self.G = G
+        self.shape = (G.shape[1], G.shape[1])
+        self.iscomplex = G.iscomplex
+        # forwarded so that min_eig's zero-gradient check still fires
+        self.g = getattr(G, "g", None)
+
+    def matvec(self, v):
+        return -self.G.rmatvec(self.G.matvec(v))
+
+
 def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None):
     """Top singular triple (u, v, sigma) of an implicit matrix.
 
@@ -138,94 +153,21 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None):
     cfg : SpectralConfig, residual tolerance and iteration budget
     start_seed : overrides cfg.seed for the start vector draw
 
-    The returned pair satisfies ``max(|G v - sigma u|, |G* u - sigma v|)
-    <= tol * sigma`` and u's largest-magnitude entry is real positive.
-    Raises ``ZeroGradient`` on a numerically zero matrix and
-    ``NoConvergence`` if the budget runs out.
+    v is the bottom eigenvector of -G* G from ``min_eig``, whose residual
+    bound ``|G* G v - sigma^2 v| <= tol * sigma^2`` gives ``max(|G v - sigma
+    u|, |G* u - sigma v|) <= tol * sigma`` for u = G v / sigma. u's
+    largest-magnitude entry is real positive. Raises ``ZeroGradient`` on a
+    numerically zero matrix and ``NoConvergence`` if the budget runs out.
     """
-    cfg = cfg or SpectralConfig()
     G = _as_linop(G)
-    m, n = G.shape
-    g = getattr(G, "g", None)
-    if g is not None and np.linalg.norm(g) == 0.0:
-        raise ZeroGradient("gradient vector is identically zero")
-    v0 = _start_vector(n, G.iscomplex, cfg.seed if start_seed is None else start_seed)
-    width = 2 if G.iscomplex else 1
-    used = 0
-    while used < cfg.max_iters:
-        cap = int(min(cfg.krylov_dim, cfg.max_iters - used, min(m, n)))
-        with ledger.track("spectral", width * (m + n) * cap + 4 * cap):
-            u, v, sigma, resid, steps = _gk_cycle(G, v0, cap, cfg.tol)
-        used += steps
-        if sigma > 0 and resid <= cfg.tol * sigma:
-            ph = _canonical_phase(u)
-            return u * ph, v * ph, float(sigma)
-        v0 = v
-    raise NoConvergence(f"top singular pair not resolved in {cfg.max_iters} Lanczos steps")
-
-
-def _gk_cycle(G, v0, cap, tol):
-    """One Golub-Kahan cycle from v0; returns the best Ritz triple found."""
-    m, n = G.shape
-    dt = np.complex128 if G.iscomplex else np.float64
-    V = np.zeros((n, cap), dtype=dt)
-    U = np.zeros((m, cap), dtype=dt)
-    alphas = np.zeros(cap)
-    betas = np.zeros(cap)
-    V[:, 0] = v0
-    p = G.matvec(v0)
-    a = np.linalg.norm(p)
-    if a == 0.0:
-        raise ZeroGradient("start vector is annihilated; the matrix is numerically zero")
-    # the newest basis vectors also live in contiguous arrays: operators read
-    # them much faster than a strided column of the basis
-    u_new = p / a
-    U[:, 0] = u_new
-    alphas[0] = a
-    J = 1
-    exhausted = False
-    while True:
-        if not exhausted and J < cap:
-            # the next right vector comes first: its norm prices the Ritz
-            # estimate. A cycle that then converges at a periodic check has
-            # paid this rmatvec for nothing, one call more than checking first.
-            r = G.rmatvec(u_new) - alphas[J - 1] * V[:, J - 1]
-            for _ in range(2):
-                r -= V[:, :J] @ _project(V[:, :J], r)
-            b = np.linalg.norm(r)
-            exhausted = b <= _BREAKDOWN * alphas[:J].max()
-        if exhausted or J == cap or J % _CHECK_EVERY == 0:
-            B = np.zeros((J, J))
-            B[np.arange(J), np.arange(J)] = alphas[:J]
-            if J > 1:
-                B[np.arange(J - 1), np.arange(1, J)] = betas[: J - 1]
-            P, svals, Qh = np.linalg.svd(B)
-            sigma = svals[0]
-            final = exhausted or J == cap
-            # G* u - sigma v = b * P[J-1, 0] * (next right vector), G v = sigma u
-            if final or b * abs(P[J - 1, 0]) <= _RITZ_GATE * tol * sigma:
-                u = U[:, :J] @ P[:, 0]
-                v = V[:, :J] @ Qh[0]
-                ru = np.linalg.norm(G.matvec(v) - sigma * u)
-                rv = np.linalg.norm(G.rmatvec(u) - sigma * v)
-                resid = max(ru, rv)
-                if final or (sigma > 0 and resid <= tol * sigma):
-                    return u, v, sigma, resid, J
-        # expand the factorization by one pair
-        betas[J - 1] = b
-        v_new = r / b
-        V[:, J] = v_new
-        s = G.matvec(v_new) - b * U[:, J - 1]
-        for _ in range(2):
-            s -= U[:, :J] @ _project(U[:, :J], s)
-        a = np.linalg.norm(s)
-        if a <= _BREAKDOWN * alphas[:J].max():
-            exhausted = True
-            continue
-        alphas[J] = a
-        u_new = s / a
-        U[:, J] = u_new
-        J += 1
+    _, v = min_eig(_NegatedGram(G), cfg, start_seed)
+    p = G.matvec(v)
+    sigma = np.linalg.norm(p)
+    if sigma == 0.0:
+        raise ZeroGradient("top singular value is zero; the matrix is numerically zero")
+    u = p / sigma
+    ph = _canonical_phase(u)
+    return u * ph, v * ph, float(sigma)
 
 
 def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None):

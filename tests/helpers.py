@@ -13,6 +13,7 @@ from sketchycgm import (
     Loss,
     ProblemSpec,
     SpectralConfig,
+    ledger,
 )
 from sketchycgm.spectral import _as_linop
 
@@ -62,6 +63,19 @@ class CountingLinop:
     def rmatvec(self, u):
         self.calls += 1
         return self.inner.rmatvec(u)
+
+
+def recorded_charges(monkeypatch) -> list:
+    """List of every (tag, count) the process ledger tracks from now on."""
+    charges = []
+    track = ledger.track
+
+    def recording(tag, count):
+        charges.append((tag, count))
+        return track(tag, count)
+
+    monkeypatch.setattr(ledger, "track", recording)
+    return charges
 
 
 def random_mask(rng, m, n, frac):

@@ -1,5 +1,7 @@
 """Two-sided sketch: loop invariants, exactness, reconstruction contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from sketchycgm import (
     ledger,
     nscalars,
 )
+from helpers import recorded_charges
 
 
 def _rand_pair(rng, m, n, complex_field):
@@ -182,6 +185,34 @@ def test_reconstruction_solve_matches_lstsq(field):
     got = sk.reconstruct().dense()
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
     sk.release()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "m, n, r, psd", [(2000, 1500, 5, False), (600, 900, 3, False), (1000, 1000, 4, True)]
+)
+def test_reconstruct_charge_bounds_traced_peak(monkeypatch, m, n, r, psd, field):
+    # the scratch charge covers every array a reconstruction allocates, and
+    # not by more than a factor two; at these shapes the interpreter's own
+    # objects are a small part of the traced peak
+    rng = np.random.default_rng(12)
+    sk = Sketch(m, n, r, field=field, seed=3)
+    for _ in range(2 * r):
+        u, v = _rand_pair(rng, m, n, field == "complex")
+        sk.linear_update(0.9, 1.0, u, u if psd else v)
+    charges = recorded_charges(monkeypatch)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sk.reconstruct(psd=psd)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sk.release()
+    [(tag, charged)] = charges
+    traced = (peak - start) / 8
+    assert tag == "sketch"
+    assert traced <= charged <= 2 * traced
 
 
 def test_release_returns_scalars_to_ledger():

@@ -240,6 +240,30 @@ def test_lmo_failure_keeps_partial_result(monkeypatch):
     np.testing.assert_array_equal(factors.dense(), ref_factors.dense())
 
 
+def test_lmo_failure_on_degenerate_sketch_keeps_trace(monkeypatch):
+    # the reconstruction the NoConvergence handler attempts is rank deficient
+    prob = spiked_completion_problem(14, m=8, n=6, eps=1e-300, max_iters=10)
+    lmo = sketchycgm.solver.max_sing_vec
+
+    def fail_at_t3(G, cfg, start_seed):
+        if start_seed[1] == 3:
+            raise NoConvergence("forced at t=3")
+        return lmo(G, cfg, start_seed=start_seed)
+
+    def collapse_psi(record, state):
+        if record.t == 2:
+            state.sketch.Psi[:] = state.sketch.Psi[0]
+
+    monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
+    before = ledger.live().get("sketch", 0)
+    with pytest.raises(NoConvergence, match="forced at t=3") as exc:
+        solve(prob, callback=collapse_psi)
+    assert ledger.live().get("sketch", 0) == before
+    factors, trace = exc.value.result
+    assert factors is None
+    assert [rec.t for rec in trace] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("monitored", [False, True])
 def test_degenerate_sketch_keeps_trace(monitored):
     # a rank-one Psi from t=2 on makes the next reconstruction rank deficient:

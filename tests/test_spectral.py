@@ -16,7 +16,7 @@ from sketchycgm import (
     max_sing_vec,
     min_eig,
 )
-from helpers import CountingLinop, random_mask
+from helpers import CountingLinop, random_mask, recorded_charges
 
 
 def _aligned(a, b, tol):
@@ -24,6 +24,27 @@ def _aligned(a, b, tol):
     inner = np.vdot(a, b)
     assert abs(inner) > 0
     return np.linalg.norm(a * (inner / abs(inner)) - b) <= tol
+
+
+_CERTIFICATE_CASES = ("square", "tall", "wide", "complex", "entry-sampling")
+
+
+def _certificate_case(name):
+    """A matrix for max_sing_vec and its dense form for checking the result."""
+    rng = np.random.default_rng(6)
+    if name == "entry-sampling":
+        rows, cols = random_mask(rng, 40, 25, 0.3)
+        op = EntrySamplingOperator(40, 25, rows, cols)
+        z = rng.standard_normal(op.d)
+        M = np.zeros((40, 25))
+        M[rows, cols] = z
+        return ImplicitGradientMatrix(op, z), M
+    # the wide case has a rank-deficient Gram matrix, so Lanczos breaks down
+    shape = {"square": (30, 30), "tall": (50, 20), "wide": (10, 40), "complex": (30, 20)}[name]
+    M = rng.standard_normal(shape)
+    if name == "complex":
+        M = M + 1j * rng.standard_normal(shape)
+    return M, M
 
 
 class TestMaxSingVec:
@@ -86,6 +107,9 @@ class TestMaxSingVec:
         op = EntrySamplingOperator(4, 4, [0, 1], [0, 1])
         with pytest.raises(ZeroGradient):
             max_sing_vec(ImplicitGradientMatrix(op, np.zeros(2)))
+        # a dense matrix has no gradient vector to check: sigma = 0 decides
+        with pytest.raises(ZeroGradient):
+            max_sing_vec(np.zeros((5, 3)))
 
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(5)
@@ -93,13 +117,27 @@ class TestMaxSingVec:
         with pytest.raises(NoConvergence):
             max_sing_vec(M, SpectralConfig(tol=1e-14, max_iters=2))
 
-    def test_residual_certificate(self):
-        rng = np.random.default_rng(6)
-        M = rng.standard_normal((30, 30))
+    @pytest.mark.parametrize("name", _CERTIFICATE_CASES)
+    def test_residual_certificate(self, name):
+        G, M = _certificate_case(name)
         tol = 1e-9
-        u, v, sigma = max_sing_vec(M, SpectralConfig(tol=tol))
+        u, v, sigma = max_sing_vec(G, SpectralConfig(tol=tol))
+        assert sigma == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
         assert np.linalg.norm(M @ v - sigma * u) <= tol * sigma
-        assert np.linalg.norm(M.T @ u - sigma * v) <= tol * sigma
+        assert np.linalg.norm(M.conj().T @ u - sigma * v) <= tol * sigma
+
+    @pytest.mark.parametrize("shape, iscomplex", [((40, 30), False), ((25, 35), True)])
+    def test_workspace_is_one_n_side_basis(self, monkeypatch, shape, iscomplex):
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal(shape)
+        if iscomplex:
+            M = M + 1j * rng.standard_normal(shape)
+        charges = recorded_charges(monkeypatch)
+        max_sing_vec(M, SpectralConfig(tol=1e-10))
+        n = shape[1]
+        cap = min(SpectralConfig().krylov_dim, n)
+        width = 2 if iscomplex else 1
+        assert charges == [("spectral", width * n * cap + 4 * cap)]
 
     @settings(deadline=None, max_examples=15)
     @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(0.1, 100.0))
