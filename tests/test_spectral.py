@@ -117,8 +117,16 @@ class TestMaxSingVec:
         with pytest.raises(NoConvergence):
             max_sing_vec(M, SpectralConfig(tol=1e-14, max_iters=2))
 
+    def test_residual_certificate(self):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((30, 30))
+        tol = 1e-9
+        u, v, sigma = max_sing_vec(M, SpectralConfig(tol=tol))
+        assert np.linalg.norm(M @ v - sigma * u) <= tol * sigma
+        assert np.linalg.norm(M.T @ u - sigma * v) <= tol * sigma
+
     @pytest.mark.parametrize("name", _CERTIFICATE_CASES)
-    def test_residual_certificate(self, name):
+    def test_residual_certificate_across_shapes(self, name):
         G, M = _certificate_case(name)
         tol = 1e-9
         u, v, sigma = max_sing_vec(G, SpectralConfig(tol=tol))
