@@ -3,10 +3,11 @@
 Solves norm-constrained problems of the form minimize loss(measure(X))
 without ever storing the matrix variable: the iterate lives as a small
 measurement-domain vector plus a two-sided randomized sketch, and a
-rank-r factorization is reconstructed on demand. Includes measurement
-operator families (entry sampling, coded diffraction, a synthetic
-ptychography-style bandpass), the four losses, a dense reference solver
-for oracle testing, synthetic problem generators, and a CLI.
+rank-r factorization is reconstructed on demand. Includes the two
+measurement operator families of the paper's experiments (entry sampling
+for matrix completion, coded diffraction for phase retrieval), the four
+losses, a dense reference solver for oracle testing, synthetic problem
+generators, and a CLI.
 """
 
 from .errors import (
@@ -28,7 +29,6 @@ from .operators import (
     CodedDiffractionOperator,
     EntrySamplingOperator,
     MeasurementOperator,
-    PtychographyBandpassOperator,
     entry_sampling_from_file,
     read_triples,
     write_triples,
@@ -63,7 +63,6 @@ from .solver import (
     duality_gap,
     init_state,
     learning_rate,
-    select_alpha_phase,
     solve,
     update_direction,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "NonFiniteInput",
     "ParseError",
     "ProblemSpec",
-    "PtychographyBandpassOperator",
     "RankDeficientPsiQ",
     "Sketch",
     "SketchDims",
@@ -125,7 +123,6 @@ __all__ = [
     "read_triples",
     "record_spectra",
     "save_spectra_csv",
-    "select_alpha_phase",
     "solve",
     "test_error",
     "update_direction",

@@ -41,7 +41,7 @@ from .probgen import (
 )
 from .reference import DENSE_GUARD, cgm_dense_solve, phase_aligned_error, psnr, test_error
 from .sketch import Sketch
-from .solver import ProblemSpec, TEMPLATES, VARIANTS, select_alpha_phase, solve
+from .solver import ProblemSpec, TEMPLATES, VARIANTS, solve
 from .spectral import SpectralConfig
 
 __all__ = [
@@ -272,7 +272,7 @@ def _build_solve_problem(args):
     if args.alpha is not None:
         alpha = args.alpha
     elif args.alpha_mode == "mean-b":
-        alpha = select_alpha_phase(b)
+        alpha = float(np.mean(b))
     else:
         raise ValueError("file problems need --alpha or --alpha-mode")
     prob = ProblemSpec(

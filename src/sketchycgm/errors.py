@@ -6,7 +6,13 @@ class DimensionMismatch(ValueError):
 
 
 class NonFiniteInput(ValueError):
-    """An input vector contains NaN or infinity."""
+    """An input vector contains NaN or infinity.
+
+    When a non-finite iterate raises it inside the solver, ``result`` holds
+    (factors or None, trace so far), as for ``NoConvergence``.
+    """
+
+    result = None
 
 
 class DomainError(ValueError):

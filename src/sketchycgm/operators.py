@@ -13,10 +13,10 @@ so that, writing ip(a, b) for the inner product conjugating the first slot,
     ip(apply_rank_one(u, v), z) == left_apply_adjoint(z, u) @ v
                                 == ip(u, right_apply_adjoint(z, v)).
 
-Three families are provided: entry sampling (matrix completion over the
-reals), coded diffraction (random modulations followed by unitary DFTs),
-and synthetic bandpass windows (one low-pass Fourier view per illumination).
-The Fourier families measure quadratic forms diag(A X A*) for a tall sensing
+Two families are provided, the two of the paper's experiments: entry
+sampling (matrix completion over the reals) and coded diffraction (random
+modulations followed by unitary DFTs, for phase retrieval). Coded
+diffraction measures quadratic forms diag(A X A*) for a tall sensing
 matrix A applied by FFT; A is never built densely. Operators are immutable
 after construction and store Theta(d) parameters.
 
@@ -45,9 +45,7 @@ from .memory import ledger, nscalars
 __all__ = [
     "MeasurementOperator",
     "EntrySamplingOperator",
-    "RowMeasurementOperator",
     "CodedDiffractionOperator",
-    "PtychographyBandpassOperator",
     "entry_sampling_from_file",
     "read_triples",
     "write_triples",
@@ -86,14 +84,13 @@ class MeasurementOperator:
     the result is real up to roundoff, and returns the real part.
     """
 
-    def __init__(self, m: int, n: int, d: int, field: np.dtype, kind: str):
+    def __init__(self, m: int, n: int, d: int, field: np.dtype):
         if min(m, n, d) < 1:
             raise ValueError("operator dimensions must be positive")
         self.m = int(m)
         self.n = int(n)
         self.d = int(d)
         self.field = np.dtype(field)
-        self.kind = kind
 
     def apply_rank_one(self, u, v) -> np.ndarray:
         """Measurements of the rank-one matrix with entries u_i * conj(v_j)."""
@@ -178,7 +175,7 @@ class EntrySamplingOperator(MeasurementOperator):
         flat = np.sort(rows * np.intp(n) + cols)
         if np.any(flat[1:] == flat[:-1]):
             raise ValueError("duplicate (row, col) pairs are not allowed")
-        super().__init__(m, n, rows.size, np.float64, "entry_sampling")
+        super().__init__(m, n, rows.size, np.float64)
         self.cols = cols
         self.run_starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self.run_rows = rows[self.run_starts]
@@ -214,42 +211,13 @@ class EntrySamplingOperator(MeasurementOperator):
         return _bincount(self.run_rows, run_sums, self.m)
 
 
-class RowMeasurementOperator(MeasurementOperator):
-    """Quadratic family: measurements are diag(A X A*) for a tall sensing
-    matrix A reachable only through products A x and A* y.
-
-    The matrix domain is square (n by n). Rows of A are the measurement
-    vectors, so a rank-one input u v* measures to (A u) .* conj(A v).
-    """
-
-    def _sense(self, x: np.ndarray) -> np.ndarray:
-        """A x, a d-vector."""
-        raise NotImplementedError
-
-    def _sense_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A* y, an n-vector."""
-        raise NotImplementedError
-
-    def apply_rank_one(self, u, v) -> np.ndarray:
-        u = _check_vector(u, self.m, "u")
-        v = _check_vector(v, self.n, "v")
-        return self._sense(u) * np.conj(self._sense(v))
-
-    def left_apply_adjoint(self, z, u) -> np.ndarray:
-        z = _check_vector(z, self.d, "z", finite=False)
-        u = _check_vector(u, self.m, "u", finite=False)
-        # u*(A* diag(z) A) row vector equals A^T (z .* conj(A u)); the
-        # transpose action is the conjugated adjoint of conjugated input.
-        return np.conj(self._sense_adjoint(np.conj(z) * self._sense(u)))
-
-    def right_apply_adjoint(self, z, v) -> np.ndarray:
-        z = _check_vector(z, self.d, "z", finite=False)
-        v = _check_vector(v, self.n, "v", finite=False)
-        return self._sense_adjoint(z * self._sense(v))
-
-
-class CodedDiffractionOperator(RowMeasurementOperator):
+class CodedDiffractionOperator(MeasurementOperator):
     """``views`` modulated unitary-DFT snapshots of length-n signals; d = views * n.
+
+    The measurements are diag(A X A*) of an n-by-n matrix X for the tall
+    sensing matrix A that stacks the views; A is applied by FFT and never
+    formed. Rows of A are the measurement vectors, so a rank-one input u v*
+    measures to (A u) .* conj(A v).
 
     Each modulation entry is the product of a phase uniform on the fourth
     roots of unity and a magnitude equal to sqrt(2)/2 with probability 0.8
@@ -262,18 +230,25 @@ class CodedDiffractionOperator(RowMeasurementOperator):
         rng = np.random.default_rng(seed)
         phases = rng.choice(np.array([1.0, 1.0j, -1.0, -1.0j]), size=(views, n))
         mags = np.where(rng.random((views, n)) < 0.8, np.sqrt(2.0) / 2.0, np.sqrt(3.0))
-        super().__init__(n, n, views * n, np.complex128, "coded_diffraction")
+        super().__init__(n, n, views * n, np.complex128)
         self.views = views
         self.modulations = phases * mags
         self.modulations.setflags(write=False)
         ledger.add("operators", nscalars(self.modulations))
 
     def _sense(self, x: np.ndarray) -> np.ndarray:
+        """A x, a d-vector."""
         return np.fft.fft(self.modulations * x[None, :], axis=1, norm="ortho").ravel()
 
     def _sense_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A* y, an n-vector: the reference the fused adjoints are tested against."""
         blocks = np.fft.ifft(y.reshape(self.views, self.n), axis=1, norm="ortho")
         return (np.conj(self.modulations) * blocks).sum(axis=0)
+
+    def apply_rank_one(self, u, v) -> np.ndarray:
+        u = _check_vector(u, self.m, "u")
+        v = _check_vector(v, self.n, "v")
+        return self._sense(u) * np.conj(self._sense(v))
 
     def _conj_gram(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """conj(A* diag(z) A x), in one views-by-n work array."""
@@ -297,60 +272,6 @@ class CodedDiffractionOperator(RowMeasurementOperator):
         v = _check_vector(v, self.n, "v", finite=False)
         out = self._conj_gram(z, v)
         return np.conj(out, out=out)
-
-
-class PtychographyBandpassOperator(RowMeasurementOperator):
-    """Bandpass Fourier views: each of ``views`` illuminations selects a
-    window of ``q`` Fourier coefficients and returns their small inverse
-    DFT; d = views * q.
-
-    Windows default to contiguous circularly-shifted index ranges whose
-    offsets stride the spectrum so the views jointly cover all n
-    coefficients. Custom windows may be supplied as an integer array of
-    shape (views, q) with per-view distinct indices in [0, n).
-    """
-
-    def __init__(self, n: int, q: int, views: int, masks=None):
-        if n < 1 or views < 1:
-            raise ValueError("n and views must be positive")
-        if not 1 <= q <= n:
-            raise ValueError("window width q must satisfy 1 <= q <= n")
-        if masks is None:
-            if q * views < n:
-                raise ValueError(
-                    "windows cannot cover the spectrum: need q * views >= n"
-                )
-            offsets = (np.arange(views) * n) // views
-            masks = (offsets[:, None] + np.arange(q)[None, :]) % n
-        else:
-            masks = np.asarray(masks, dtype=np.intp)
-            if masks.shape != (views, q):
-                raise DimensionMismatch(
-                    f"masks has shape {masks.shape}, expected ({views}, {q})"
-                )
-            if masks.min() < 0 or masks.max() >= n:
-                raise IndexOutOfRange("mask entry outside the Fourier grid")
-            for i in range(views):
-                if np.unique(masks[i]).size != q:
-                    raise ValueError(
-                        "each view must select distinct Fourier coefficients"
-                    )
-        super().__init__(n, n, views * q, np.complex128, "ptychography_bandpass")
-        self.views = views
-        self.q = int(q)
-        self.masks = masks
-        self.masks.setflags(write=False)
-        ledger.add("operators", nscalars(masks))
-
-    def _sense(self, x: np.ndarray) -> np.ndarray:
-        xhat = np.fft.fft(x, norm="ortho")
-        return np.fft.ifft(xhat[self.masks], axis=1, norm="ortho").ravel()
-
-    def _sense_adjoint(self, y: np.ndarray) -> np.ndarray:
-        blocks = np.fft.fft(y.reshape(self.views, self.q), axis=1, norm="ortho")
-        acc = np.zeros(self.n, dtype=np.complex128)
-        np.add.at(acc, self.masks.ravel(), blocks.ravel())
-        return np.fft.ifft(acc, norm="ortho")
 
 
 def read_triples(path):

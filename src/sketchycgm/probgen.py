@@ -21,7 +21,7 @@ import numpy as np
 from .losses import Loss
 from .operators import CodedDiffractionOperator, EntrySamplingOperator, read_triples
 from .reference import EvalSpec
-from .solver import ProblemSpec, select_alpha_phase
+from .solver import ProblemSpec
 from .spectral import SpectralConfig
 
 __all__ = [
@@ -142,7 +142,7 @@ def gen_phase_problem(
     else:
         c = poisson_photon_scale(clean, spec.snr_db)
         b = nrng.poisson(c * clean).astype(float) / c
-    alpha = op.n * select_alpha_phase(b)
+    alpha = op.n * float(np.mean(b))
     variant = "poisson" if loss_kind == "poisson" else "standard"
     prob = ProblemSpec(
         op=op,

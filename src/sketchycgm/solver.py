@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, RankDeficientPsiQ, ZeroGradient
+from .errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NonFiniteInput,
+    RankDeficientPsiQ,
+    ZeroGradient,
+)
 from .losses import Loss
 from .memory import ledger, nscalars
 from .operators import MeasurementOperator
@@ -44,7 +50,6 @@ __all__ = [
     "update_direction",
     "duality_gap",
     "solve",
-    "select_alpha_phase",
 ]
 
 TEMPLATES = ("schatten1", "psd")
@@ -255,9 +260,10 @@ def solve(
     record. Hitting max_iters is non-fatal by default: partial results are
     first-class. With strict=True it raises NoConvergence whose .result
     holds the same (factors, trace) pair. A NoConvergence from the spectral
-    routines also carries the reconstruction and the records made so far, or
-    (None, records so far) when that reconstruction is rank deficient; a
-    RankDeficientPsiQ from a reconstruction carries (None, records so far).
+    routines and a NonFiniteInput from a non-finite iterate also carry the
+    reconstruction and the records made so far, or (None, records so far)
+    when that reconstruction is rank deficient; a RankDeficientPsiQ from a
+    reconstruction carries (None, records so far).
     The sketch's scalars go back to the ledger before solve returns.
     """
     state = init_state(spec)
@@ -278,15 +284,14 @@ def solve(
                 observe, trace_every, trace,
             )
         factors = state.sketch.reconstruct(psd=psd)
-    except NoConvergence as exc:
-        try:
-            factors = state.sketch.reconstruct(psd=psd)
-        except RankDeficientPsiQ:
-            factors = None
+    except (NoConvergence, RankDeficientPsiQ, NonFiniteInput) as exc:
+        factors = None
+        if not isinstance(exc, RankDeficientPsiQ):
+            try:
+                factors = state.sketch.reconstruct(psd=psd)
+            except RankDeficientPsiQ:
+                pass
         exc.result = (factors, trace)
-        raise
-    except RankDeficientPsiQ as exc:
-        exc.result = (None, trace)
         raise
     finally:
         state.sketch.release()
@@ -298,10 +303,3 @@ def solve(
         )
     return factors, trace
 
-
-def select_alpha_phase(b) -> float:
-    """Constraint radius heuristic for phase problems: the measurement mean."""
-    b = np.asarray(b, dtype=float)
-    if b.size == 0:
-        raise ValueError("b must be nonempty")
-    return float(np.mean(b))

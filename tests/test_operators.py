@@ -21,7 +21,6 @@ from sketchycgm import (
     EntrySamplingOperator,
     IndexOutOfRange,
     ParseError,
-    PtychographyBandpassOperator,
     entry_sampling_from_file,
     ledger,
     read_triples,
@@ -209,42 +208,6 @@ class TestCodedDiffraction:
         assert np.all(
             np.isclose(mags, lo, atol=1e-12) | np.isclose(mags, hi, atol=1e-12)
         )
-
-
-class TestPtychographyBandpass:
-    def test_default_windows_cover_spectrum(self):
-        op = PtychographyBandpassOperator(12, 4, 4)
-        assert sorted(set(op.masks.ravel().tolist())) == list(range(12))
-
-    def test_adjoint_chain(self):
-        rng = np.random.default_rng(6)
-        _check_adjoint_chain(PtychographyBandpassOperator(9, 4, 3), rng)
-
-    def test_against_dense(self):
-        rng = np.random.default_rng(7)
-        _check_against_dense(PtychographyBandpassOperator(6, 3, 3), rng)
-
-    def test_custom_masks(self):
-        masks = np.array([[0, 2], [1, 3]])
-        op = PtychographyBandpassOperator(4, 2, 2, masks=masks)
-        rng = np.random.default_rng(8)
-        _check_against_dense(op, rng)
-
-    def test_underdetermined_default_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            PtychographyBandpassOperator(16, 3, 4)
-
-    def test_bad_mask_shape_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            PtychographyBandpassOperator(4, 2, 2, masks=np.zeros((3, 2), dtype=int))
-
-    def test_mask_out_of_grid_rejected(self):
-        with pytest.raises(IndexOutOfRange):
-            PtychographyBandpassOperator(4, 2, 2, masks=np.array([[0, 4], [1, 2]]))
-
-    def test_repeated_mask_entry_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            PtychographyBandpassOperator(4, 2, 2, masks=np.array([[1, 1], [0, 2]]))
 
 
 class TestPsdMeasureContract:
