@@ -34,6 +34,7 @@ from .memory import ledger
 from .operators import entry_sampling_from_file, write_triples
 from .probgen import (
     BINARIZE_THRESHOLD,
+    NOISE_KINDS,
     SyntheticCompletionSpec,
     SyntheticPhaseSpec,
     gen_completion_problem,
@@ -41,7 +42,7 @@ from .probgen import (
 )
 from .reference import DENSE_GUARD, cgm_dense_solve, phase_aligned_error, psnr, test_error
 from .sketch import Sketch
-from .solver import ProblemSpec, TEMPLATES, VARIANTS, solve
+from .solver import ProblemSpec, TEMPLATES, solve
 from .spectral import SpectralConfig
 
 __all__ = [
@@ -102,6 +103,35 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [argv[0]] + _load_config_tokens(path) + argv[1:]
 
 
+def _add_generator_flags(p: argparse.ArgumentParser, n=None, m=None) -> None:
+    """The nine generator flags solve and gen share; n and m set the --n/--m defaults."""
+    p.add_argument("--n", type=int, default=n)
+    p.add_argument("--views", type=int, default=10)
+    p.add_argument("--noise", choices=NOISE_KINDS, default="none")
+    p.add_argument("--snr-db", type=float, default=20.0)
+    p.add_argument("--m", type=int, default=m)
+    p.add_argument("--true-rank", type=int, default=2)
+    p.add_argument("--obs-fraction", type=float, default=0.3)
+    p.add_argument("--noise-std", type=float, default=0.0)
+    p.add_argument("--test-fraction", type=float, default=0.2)
+
+
+def _synthetic_spec(args):
+    """The generator recipe the flags describe: phase, or else completion."""
+    if args.problem == "phase":
+        return SyntheticPhaseSpec(
+            n=64 if args.n is None else args.n, views=args.views,
+            noise_kind=args.noise, snr_db=args.snr_db, seed=args.seed,
+        )
+    if args.m is None or args.n is None:
+        raise ValueError("--m and --n are required for completion problems")
+    return SyntheticCompletionSpec(
+        m=args.m, n=args.n, true_rank=args.true_rank,
+        obs_fraction=args.obs_fraction, noise=args.noise_std,
+        test_fraction=args.test_fraction, seed=args.seed,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchycgm",
@@ -115,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--data", help="triples file for --problem file")
     sv.add_argument("--template", choices=TEMPLATES, default=None)
     sv.add_argument("--loss", choices=LOSS_KINDS, default=None)
-    sv.add_argument("--variant", choices=VARIANTS, default=None)
-    sv.add_argument("--rank", type=int, default=1)
+    sv.add_argument("--rank", type=int, default=None,
+                    help="reconstruction rank (default: --true-rank for completion, else 1)")
     sv.add_argument("--alpha", type=float, default=None)
     sv.add_argument("--alpha-mode", choices=("mean-b",), default=None)
     sv.add_argument("--eps", type=float, default=1e-6)
@@ -127,17 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--spectral-tol", type=float, default=1e-8)
     sv.add_argument("--trace-every", type=int, default=1)
     sv.add_argument("--out", default=None, help="directory for artifacts")
-    # phase generator knobs
-    sv.add_argument("--n", type=int, default=None)
-    sv.add_argument("--views", type=int, default=10)
-    sv.add_argument("--noise", choices=("none", "gaussian", "poisson"), default="none")
-    sv.add_argument("--snr-db", type=float, default=20.0)
-    # completion generator knobs
-    sv.add_argument("--m", type=int, default=None)
-    sv.add_argument("--true-rank", type=int, default=2)
-    sv.add_argument("--obs-fraction", type=float, default=0.3)
-    sv.add_argument("--noise-std", type=float, default=0.0)
-    sv.add_argument("--test-fraction", type=float, default=0.2)
+    _add_generator_flags(sv)
     sv.set_defaults(func=run_solve)
 
     st = sub.add_parser("sketch-test", help="sketch reconstruction suites")
@@ -167,15 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("--problem", choices=("phase", "completion"), required=True)
     gn.add_argument("--out", required=True)
     gn.add_argument("--seed", type=int, default=0)
-    gn.add_argument("--n", type=int, default=64)
-    gn.add_argument("--views", type=int, default=10)
-    gn.add_argument("--noise", choices=("none", "gaussian", "poisson"), default="none")
-    gn.add_argument("--snr-db", type=float, default=20.0)
-    gn.add_argument("--m", type=int, default=30)
-    gn.add_argument("--true-rank", type=int, default=2)
-    gn.add_argument("--obs-fraction", type=float, default=0.3)
-    gn.add_argument("--noise-std", type=float, default=0.0)
-    gn.add_argument("--test-fraction", type=float, default=0.2)
+    _add_generator_flags(gn, n=64, m=30)
     gn.set_defaults(func=run_gen)
 
     return parser
@@ -215,20 +227,14 @@ def _write_trace_csv(path: Path, trace) -> None:
 def _build_solve_problem(args):
     """Materialize (ProblemSpec, eval_fn) from solve-subcommand flags."""
     spectral = SpectralConfig(tol=args.spectral_tol, seed=args.spectral_seed)
+    rank = 1 if args.rank is None else args.rank
     if args.problem == "phase":
-        pspec = SyntheticPhaseSpec(
-            n=args.n or 64, views=args.views, noise_kind=args.noise,
-            snr_db=args.snr_db, seed=args.seed,
-        )
         prob, x_true = gen_phase_problem(
-            pspec, loss_kind=args.loss, rank=args.rank, eps=args.eps,
+            _synthetic_spec(args), loss_kind=args.loss, rank=rank, eps=args.eps,
             max_iters=args.max_iters, spectral=spectral, sketch_seed=args.sketch_seed,
         )
-        prob = replace(
-            prob,
-            alpha=prob.alpha if args.alpha is None else args.alpha,
-            variant=prob.variant if args.variant is None else args.variant,
-        )
+        if args.alpha is not None:
+            prob = replace(prob, alpha=args.alpha)
         peak = float(np.abs(x_true).max())
 
         def eval_fn(factors):
@@ -244,15 +250,9 @@ def _build_solve_problem(args):
         return prob, eval_fn
 
     if args.problem == "completion":
-        if args.m is None or args.n is None:
-            raise ValueError("--m and --n are required for completion problems")
-        cspec = SyntheticCompletionSpec(
-            m=args.m, n=args.n, true_rank=args.true_rank,
-            obs_fraction=args.obs_fraction, noise=args.noise_std,
-            test_fraction=args.test_fraction, seed=args.seed,
-        )
+        # rank None: the generator reconstructs at the true rank
         prob, _truth, eval_spec = gen_completion_problem(
-            cspec, loss_kind=args.loss or "gauss", rank=args.rank,
+            _synthetic_spec(args), loss_kind=args.loss or "gauss", rank=args.rank,
             alpha=args.alpha, eps=args.eps, max_iters=args.max_iters,
             spectral=spectral, sketch_seed=args.sketch_seed,
         )
@@ -279,9 +279,8 @@ def _build_solve_problem(args):
         op=op,
         loss=Loss(loss_kind, b, normalization=1.0 / b.size),
         alpha=alpha,
-        rank=args.rank,
+        rank=rank,
         template=args.template or "schatten1",
-        variant=args.variant or "standard",
         eps=args.eps,
         max_iters=args.max_iters,
         spectral=spectral,
@@ -413,7 +412,7 @@ def bench_memory_rows(ns, rank=1, views=10, iters=3, seed=0):
                 max_iters=iters, spectral=spectral,
             )
             try:
-                cgm_dense_solve(prob, max_iters=iters)
+                cgm_dense_solve(prob)
                 dense_peak = str(ledger.peak)
             except TooLargeForDense:
                 dense_peak = "oom-guard"
@@ -439,11 +438,7 @@ def run_bench_memory(args) -> int:
 def run_gen(args) -> int:
     out = _outdir(args)
     if args.problem == "phase":
-        pspec = SyntheticPhaseSpec(
-            n=args.n, views=args.views, noise_kind=args.noise,
-            snr_db=args.snr_db, seed=args.seed,
-        )
-        prob, x = gen_phase_problem(pspec)
+        prob, x = gen_phase_problem(_synthetic_spec(args))
         np.savetxt(out / "x_true.csv", np.column_stack([x.real, x.imag]),
                    delimiter=",", header="re,im", comments="")
         np.savetxt(out / "b.csv", prob.loss.b, delimiter=",", header="b", comments="")
@@ -453,12 +448,7 @@ def run_gen(args) -> int:
             "alpha": prob.alpha, "d": prob.op.d,
         }
     else:
-        cspec = SyntheticCompletionSpec(
-            m=args.m, n=args.n, true_rank=args.true_rank,
-            obs_fraction=args.obs_fraction, noise=args.noise_std,
-            test_fraction=args.test_fraction, seed=args.seed,
-        )
-        prob, (G1, G2), eval_spec = gen_completion_problem(cspec)
+        prob, (G1, G2), eval_spec = gen_completion_problem(_synthetic_spec(args))
         write_triples(out / "train.txt", prob.op.rows, prob.op.cols, prob.loss.b)
         if eval_spec is not None:
             write_triples(out / "test.txt", eval_spec.rows, eval_spec.cols, eval_spec.values)

@@ -51,6 +51,10 @@ __all__ = [
     "write_triples",
 ]
 
+# psd measurements whose imaginary part exceeds this share of their norm
+# come from a non-Hermitian operator and are rejected
+_LEAKAGE_RTOL = 1e-8
+
 
 def _check_vector(x, size: int, name: str, finite: bool = True) -> np.ndarray:
     x = np.asarray(x)
@@ -80,8 +84,8 @@ class MeasurementOperator:
     """Linear map from m-by-n matrices to d measurements.
 
     Subclasses implement the three primitives. ``psd_measure`` is derived:
-    it measures a Hermitian psd matrix given by its eigenpairs, asserts that
-    the result is real up to roundoff, and returns the real part.
+    it measures the psd rank-one matrix u u*, asserts that the result is
+    real up to roundoff, and returns the real part.
     """
 
     def __init__(self, m: int, n: int, d: int, field: np.dtype):
@@ -104,37 +108,23 @@ class MeasurementOperator:
         """Column vector (adjoint of z) v, an m-vector."""
         raise NotImplementedError
 
-    def psd_measure(self, eigvecs, eigvals, rtol: float = 1e-8) -> np.ndarray:
-        """Measure the psd matrix sum_j lam_j * w_j w_j* given by its factors.
+    def psd_measure(self, u) -> np.ndarray:
+        """Real measurements of the psd rank-one matrix u u*.
 
-        ``eigvecs`` holds the columns w_j, ``eigvals`` the nonnegative
-        weights lam_j. Requires a square matrix domain. Raises
-        ``ImaginaryLeakage`` if the imaginary residue of the result exceeds
-        ``rtol`` times its norm.
+        Requires a square matrix domain. Raises ``ImaginaryLeakage`` if the
+        imaginary residue of the measurements exceeds ``_LEAKAGE_RTOL`` times
+        their norm.
         """
         if self.m != self.n:
             raise DimensionMismatch("psd measurement needs a square matrix domain")
-        W = np.asarray(eigvecs)
-        if W.ndim == 1:
-            W = W.reshape(-1, 1)
-        lam = np.asarray(eigvals, dtype=float).ravel()
-        if W.shape != (self.n, lam.size):
-            raise DimensionMismatch(
-                f"eigvecs has shape {W.shape}, expected ({self.n}, {lam.size})"
-            )
-        if np.any(lam < 0):
-            raise ValueError("psd weights must be nonnegative")
-        out = np.zeros(self.d, dtype=np.result_type(self.field, W.dtype))
-        for j in range(lam.size):
-            if lam[j] == 0.0:
-                continue
-            out = out + lam[j] * self.apply_rank_one(W[:, j], W[:, j])
+        out = self.apply_rank_one(u, u)
         if np.iscomplexobj(out):
             scale = np.linalg.norm(out)
             residue = np.linalg.norm(out.imag)
-            if scale > 0 and residue > rtol * scale:
+            if scale > 0 and residue > _LEAKAGE_RTOL * scale:
                 raise ImaginaryLeakage(
-                    f"imaginary residue {residue:.3e} exceeds {rtol:.1e} * {scale:.3e}"
+                    f"imaginary residue {residue:.3e} exceeds "
+                    f"{_LEAKAGE_RTOL:.1e} * {scale:.3e}"
                 )
             out = out.real.copy()
         return out

@@ -131,7 +131,7 @@ def gen_phase_problem(
     rng = np.random.default_rng(sig_seed)
     x = (rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)) / np.sqrt(2.0)
     op = CodedDiffractionOperator(spec.n, spec.views, seed=op_seed)
-    clean = op.psd_measure(x[:, None], np.array([1.0]))
+    clean = op.psd_measure(x)
     nrng = np.random.default_rng(noise_seed)
     if spec.noise_kind == "none":
         b = clean
@@ -143,14 +143,12 @@ def gen_phase_problem(
         c = poisson_photon_scale(clean, spec.snr_db)
         b = nrng.poisson(c * clean).astype(float) / c
     alpha = op.n * float(np.mean(b))
-    variant = "poisson" if loss_kind == "poisson" else "standard"
     prob = ProblemSpec(
         op=op,
         loss=Loss(loss_kind, b, normalization=1.0),
         alpha=alpha,
         rank=rank,
         template="psd",
-        variant=variant,
         eps=eps,
         max_iters=max_iters,
         spectral=spectral or SpectralConfig(),
@@ -219,7 +217,6 @@ def gen_completion_problem(
         alpha=float(alpha),
         rank=spec.true_rank if rank is None else rank,
         template="schatten1",
-        variant="standard",
         eps=eps,
         max_iters=max_iters,
         spectral=spectral or SpectralConfig(),

@@ -3,7 +3,10 @@
 The reference solver drives the sketched solver's own conditional gradient
 loop (``solver._cgm_loop``) but carries the full matrix iterate, so tests
 can compare the implicit state against ground truth. It is deliberately
-guarded to small problems: its role is oracle, not production path. With
+guarded to small problems: its role is oracle, not production path. It
+runs the spec as given, to spec.max_iters; a spec with the poisson loss
+carries z by the sketched solver's recurrence instead of re-measuring the
+dense iterate. With
 spectral_mode="lanczos" it calls the same seeded linear minimization
 oracle as the sketched solver, so both produce identical direction
 sequences; spectral_mode="dense" swaps in full factorizations for runs
@@ -18,7 +21,7 @@ factors without densifying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,19 +61,17 @@ class DenseIterate:
 
 @dataclass
 class EvalSpec:
-    """Held-out entries (rows, cols, values) plus metric knobs.
+    """Held-out entries (rows, cols, values) and the penalty that scores them.
 
-    loss_kind picks the entrywise penalty for test_error; eps feeds
-    effective-rank counting. When the training index set is supplied the
-    constructor enforces that the two sets are disjoint.
+    loss_kind picks the entrywise penalty for test_error. When the training
+    index set is supplied the constructor enforces that the two sets are
+    disjoint.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     loss_kind: str = "gauss"
-    eps: float = 1e-2
-    truth: np.ndarray | None = None
     train_rows: np.ndarray | None = None
     train_cols: np.ndarray | None = None
 
@@ -84,8 +85,6 @@ class EvalSpec:
             raise DimensionMismatch("rows, cols, values must have equal length")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
         if (self.train_rows is None) != (self.train_cols is None):
             raise ValueError("supply both train index arrays or neither")
         if self.train_rows is not None:
@@ -150,24 +149,21 @@ def _exact_direction(spec: ProblemSpec, grad: np.ndarray, t: int) -> Direction:
 
 def cgm_dense_solve(
     spec: ProblemSpec,
-    max_iters: int | None = None,
     spectral_mode: str = "lanczos",
     trace_every: int = 1,
     callback=None,
 ):
     """Dense conditional gradient run; returns (X, trace).
 
-    Stops when the duality gap reaches spec.eps or after max_iters updates
-    (default spec.max_iters). callback(DenseIterate) fires at every recorded
-    iterate, before the update is applied.
+    Stops when the duality gap reaches spec.eps or after spec.max_iters
+    updates. callback(DenseIterate) fires at every recorded iterate, before
+    the update is applied.
     """
     op = spec.op
     if op.m * op.n > DENSE_GUARD:
         raise TooLargeForDense(f"{op.m}x{op.n} exceeds the dense guard {DENSE_GUARD}")
     if spectral_mode not in ("lanczos", "dense"):
         raise ValueError(f"unknown spectral_mode {spectral_mode!r}")
-    if max_iters is not None:
-        spec = replace(spec, max_iters=max_iters)
     m, n = op.m, op.n
     width = 2 if np.issubdtype(np.dtype(op.field), np.complexfloating) else 1
     k = min(m, n)
@@ -191,16 +187,14 @@ def cgm_dense_solve(
     return X, trace
 
 
-def record_spectra(spec: ProblemSpec, max_iters=None, every=1, spectral_mode="lanczos"):
-    """Dense run that also collects the iterate's singular spectrum."""
+def record_spectra(spec: ProblemSpec, every=1):
+    """Dense run that also collects the singular spectrum of each recorded iterate."""
     rows: list[tuple[int, np.ndarray]] = []
 
     def grab(it: DenseIterate):
         rows.append((it.t, np.linalg.svd(it.X, compute_uv=False)))
 
-    X, trace = cgm_dense_solve(
-        spec, max_iters, spectral_mode=spectral_mode, trace_every=every, callback=grab
-    )
+    X, trace = cgm_dense_solve(spec, trace_every=every, callback=grab)
     return X, trace, rows
 
 

@@ -207,17 +207,15 @@ class Sketch:
             raise ValueError("eta must lie in [0, 1]")
         self.linear_update(1.0 - eta, eta, u, v)
 
-    def reconstruct(self, r: int | None = None, psd: bool = False) -> FactoredMatrix:
-        """Best rank-r factorization consistent with the sketch.
+    def reconstruct(self, psd: bool = False) -> FactoredMatrix:
+        """Best rank-r factorization consistent with the sketch, r = dims.r.
 
         With ``psd=True`` the result is additionally symmetrized and its
         negative eigenvalues are clipped, all in factored form; U and V of
         the returned factorization then coincide (columns are eigenvectors).
         """
         dims = self.dims
-        r = dims.r if r is None else int(r)
-        if not 1 <= r <= dims.r:
-            raise ValueError(f"reconstruction rank must satisfy 1 <= r <= {dims.r}")
+        r = dims.r
         if psd and dims.m != dims.n:
             raise DimensionMismatch("psd reconstruction needs a square matrix")
         if np.linalg.norm(self.Y) == 0.0 and np.linalg.norm(self.W) == 0.0:

@@ -11,9 +11,9 @@ as the residual scale. ``max_sing_vec`` takes the bottom eigenvector v of
 -G* G from ``min_eig`` (Golub-Kahan bidiagonalization in exact arithmetic)
 and closes with one product u = G v / sigma. Each Lanczos step on -G* G
 costs one G v and one G* u, and only the n-side basis is stored, so the
-workspace is width * n * cap scalars for a Krylov cap of cap. Start
-vectors are drawn from a seeded generator so that independent runs
-reproduce identical direction sequences.
+workspace is width * n * cap scalars for a Krylov cap of cap, at most
+``_KRYLOV_DIM``. Start vectors are drawn from a seeded generator so that
+independent runs reproduce identical direction sequences.
 
 Every few steps a cycle checks convergence. The explicit residual, one
 extra product with the Hermitian matrix, is the only stopping test and is
@@ -42,6 +42,8 @@ __all__ = [
 
 _BREAKDOWN = 1e-14
 _CHECK_EVERY = 5
+# Krylov cap: the most Lanczos vectors a cycle stores before it restarts
+_KRYLOV_DIM = 96
 # A convergence check runs its explicit residual only when the free Ritz
 # estimate is within this factor of the tolerance.
 _RITZ_GATE = 10.0
@@ -52,13 +54,12 @@ class SpectralConfig:
     tol: float = 1e-8
     max_iters: int = 500
     seed: int = 0
-    krylov_dim: int = 96
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iters < 1 or self.krylov_dim < 1:
-            raise ValueError("iteration limits must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
 
 
 class ImplicitGradientMatrix:
@@ -190,7 +191,7 @@ def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None):
     width = 2 if G.iscomplex else 1
     used = 0
     while used < cfg.max_iters:
-        cap = int(min(cfg.krylov_dim, cfg.max_iters - used, n))
+        cap = int(min(_KRYLOV_DIM, cfg.max_iters - used, n))
         with ledger.track("spectral", width * n * cap + 4 * cap):
             u, lam, resid, norm_est, steps, exact = _lanczos_cycle(G, q0, cap, cfg.tol)
         used += steps

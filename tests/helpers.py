@@ -121,7 +121,6 @@ def spiked_completion_problem(
         alpha=alpha,
         rank=rank,
         template="schatten1",
-        variant="standard",
         eps=eps,
         max_iters=max_iters,
         spectral=spectral if spectral is not None else SpectralConfig(),

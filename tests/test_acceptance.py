@@ -79,7 +79,7 @@ def test_ac03_loop_invariants():
         dW = np.linalg.norm(W - Ps @ it.X) / max(np.linalg.norm(Ps @ it.X), 1.0)
         devs.append(max(dz, dY, dW))
 
-    cgm_dense_solve(ref, max_iters=200, trace_every=1, callback=check_full)
+    cgm_dense_solve(ref, trace_every=1, callback=check_full)
     wall = time.perf_counter() - t0
     worst = max(devs)
     ok = len(devs) == 201 and worst <= 1e-8 and wall < 20.0
@@ -232,7 +232,7 @@ def test_ac10_low_rank_recovery():
     Xhat = factors.dense()
 
     ref, _, _ = gen_completion_problem(cspec, eps=1e-300, max_iters=2000)
-    Xd, _ = cgm_dense_solve(ref, max_iters=2000, trace_every=2000)
+    Xd, _ = cgm_dense_solve(ref, trace_every=2000)
     U, s, Vh = np.linalg.svd(Xd)
     Xstar = (U[:, :2] * s[:2]) @ Vh[:2]
 

@@ -2,11 +2,15 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sketchycgm.cli import main
+from sketchycgm import FactoredMatrix, init_state
+from sketchycgm.cli import _build_solve_problem, build_parser, main
 
 
 def _run(capsys, argv):
@@ -110,14 +114,65 @@ def test_error_payload_on_bad_argument(capsys):
 
 
 def test_variant_override_is_validated(capsys):
-    # the phase problem's default loss is gauss, which the poisson variant rejects
+    # --alpha overrides the generated spec through a re-validating replace
     code, lines = _run(
         capsys,
-        ["solve", "--problem", "phase", "--n", "8", "--views", "4",
-         "--variant", "poisson"],
+        ["solve", "--problem", "phase", "--n", "8", "--views", "4", "--alpha", "-1"],
     )
     assert code == 2
     assert _last_json(lines)["error"] == "ValueError"
+
+
+def test_variant_flag_is_gone():
+    # the poisson variant follows --loss; there is no flag to mismatch them
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "--problem", "phase", "--variant", "poisson"])
+
+
+def test_completion_rank_defaults_to_true_rank(tmp_path, capsys):
+    out = tmp_path / "mc"
+    code, _ = _run(
+        capsys,
+        ["solve", "--problem", "completion", "--m", "30", "--n", "20",
+         "--true-rank", "2", "--max-iters", "20", "--out", str(out)],
+    )
+    assert code == 0
+    assert FactoredMatrix.load(out).rank == 2
+
+
+def test_file_problem_with_poisson_loss_starts_positive(tmp_path):
+    data = tmp_path / "counts.txt"
+    data.write_text("1 1 3\n1 2 0\n2 1 5\n3 2 1\n")
+    args = build_parser().parse_args(
+        ["solve", "--problem", "file", "--data", str(data), "--loss", "poisson",
+         "--alpha-mode", "mean-b"]
+    )
+    prob, _ = _build_solve_problem(args)
+    assert prob.variant == "poisson"
+    np.testing.assert_array_equal(init_state(prob).z, np.full(4, 0.5))
+
+
+def _readme_commands():
+    """Each sketchycgm command line in the README's code blocks, one loop value per variable."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        block = block.replace("\\\n", " ")
+        loops = dict(re.findall(r"for (\w+) in (\S+)", block))
+        for line in block.splitlines():
+            line = line.split("#")[0].strip()
+            if line.startswith("sketchycgm "):
+                line = re.sub(r"\$(\w+)", lambda m: loops[m.group(1)], line)
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_peak_scalars_independent_of_trace_every(capsys):

@@ -33,7 +33,7 @@ class TestPhaseGenerator:
 
     def test_noiseless_measurements_are_exact_intensities(self):
         prob, x = gen_phase_problem(SyntheticPhaseSpec(n=16, views=4, seed=2))
-        clean = prob.op.psd_measure(x[:, None], [1.0])
+        clean = prob.op.psd_measure(x)
         np.testing.assert_array_equal(prob.loss.b, clean)
         assert prob.template == "psd"
         assert prob.variant == "standard"
@@ -49,13 +49,13 @@ class TestPhaseGenerator:
     def test_gaussian_noise_hits_requested_snr(self):
         spec = SyntheticPhaseSpec(n=32, views=10, noise_kind="gaussian", snr_db=20.0, seed=4)
         prob, x = gen_phase_problem(spec)
-        clean = prob.op.psd_measure(x[:, None], [1.0])
+        clean = prob.op.psd_measure(x)
         assert _realized_snr_db(clean, prob.loss.b) == pytest.approx(20.0, abs=0.5)
 
     def test_poisson_noise_near_requested_snr(self):
         spec = SyntheticPhaseSpec(n=32, views=10, noise_kind="poisson", snr_db=20.0, seed=5)
         prob, x = gen_phase_problem(spec)
-        clean = prob.op.psd_measure(x[:, None], [1.0])
+        clean = prob.op.psd_measure(x)
         assert np.all(prob.loss.b >= 0)
         assert _realized_snr_db(clean, prob.loss.b) == pytest.approx(20.0, abs=1.0)
         assert prob.loss.kind == "poisson"

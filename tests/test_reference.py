@@ -54,7 +54,7 @@ def test_dense_solve_agrees_with_sketchy_on_pinned_instance():
     prob = spiked_completion_problem(5, m=16, n=12, max_iters=50)
     _, trace = solve(prob, trace_every=1)
     prob2 = spiked_completion_problem(5, m=16, n=12, max_iters=50)
-    X, dtrace = cgm_dense_solve(prob2, max_iters=50)
+    X, dtrace = cgm_dense_solve(prob2)
     zs = np.array([r.gap for r in trace])
     zd = np.array([r.gap for r in dtrace])
     np.testing.assert_allclose(zs, zd, rtol=1e-9, atol=1e-12)
@@ -91,20 +91,22 @@ def test_dense_solve_guard():
     prob = ProblemSpec(op=op, loss=loss, alpha=1.0, rank=1, max_iters=1)
     with pytest.raises(TooLargeForDense):
         cgm_dense_solve(prob)
+    # the iteration cap is the spec's own
+    with pytest.raises(TypeError):
+        cgm_dense_solve(prob, max_iters=1)
 
 
 def test_dense_solve_poisson_variant_descends():
     rng = np.random.default_rng(6)
     op = CodedDiffractionOperator(6, 3, seed=2)
     x = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
-    counts = rng.poisson(40.0 * op.psd_measure(x.reshape(-1, 1), [1.0])).astype(float)
+    counts = rng.poisson(40.0 * op.psd_measure(x)).astype(float)
     prob = ProblemSpec(
         op=op,
         loss=Loss("poisson", counts),
         alpha=float(np.mean(counts / 40.0) * op.n),
         rank=1,
         template="psd",
-        variant="poisson",
         eps=1e-300,
         max_iters=25,
     )
@@ -213,6 +215,11 @@ class TestTestError:
         spec = EvalSpec(rows=[5], cols=[0], values=[1.0])
         with pytest.raises(DimensionMismatch):
             heldout_error(f, spec)
+
+    @pytest.mark.parametrize("unread", [{"eps": 1e-2}, {"truth": np.zeros(1)}])
+    def test_unread_fields_are_gone(self, unread):
+        with pytest.raises(TypeError):
+            EvalSpec(rows=[0], cols=[0], values=[1.0], **unread)
 
     def test_train_test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):

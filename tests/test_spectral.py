@@ -117,6 +117,10 @@ class TestMaxSingVec:
         with pytest.raises(NoConvergence):
             max_sing_vec(M, SpectralConfig(tol=1e-14, max_iters=2))
 
+    def test_krylov_cap_is_not_configurable(self):
+        with pytest.raises(TypeError):
+            SpectralConfig(krylov_dim=48)
+
     def test_residual_certificate(self):
         rng = np.random.default_rng(6)
         M = rng.standard_normal((30, 30))
@@ -143,7 +147,7 @@ class TestMaxSingVec:
         charges = recorded_charges(monkeypatch)
         max_sing_vec(M, SpectralConfig(tol=1e-10))
         n = shape[1]
-        cap = min(SpectralConfig().krylov_dim, n)
+        cap = min(sketchycgm.spectral._KRYLOV_DIM, n)
         width = 2 if iscomplex else 1
         assert charges == [("spectral", width * n * cap + 4 * cap)]
 
