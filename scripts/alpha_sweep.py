@@ -16,8 +16,8 @@ from sketchycgm import (
     Loss,
     ProblemSpec,
     SyntheticCompletionSpec,
+    entry_sampling_from_file,
     gen_completion_problem,
-    load_triples,
     read_triples,
     solve,
     test_error,
@@ -42,19 +42,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     if args.data is not None:
-        op, values, _ = load_triples(args.data)
-        loss = Loss("gauss", values, normalization=1.0 / values.size)
-        ev = None
+        ev = m = n = None
         if args.test_data is not None:
             trows, tcols, tvals = read_triples(args.test_data)
-            # load_triples compacts away empty rows/cols, so held-out
-            # indices only line up when training touches every row and col.
-            if trows.max() >= op.m or tcols.max() >= op.n:
-                ap.error(
-                    "held-out indices fall outside the compacted training "
-                    "grid; every row and column must appear in --data"
-                )
             ev = EvalSpec(rows=trows, cols=tcols, values=tvals)
+            # the grid covers held-out rows and columns that training lacks
+            rows, cols, _ = read_triples(args.data)
+            m = int(max(rows.max(), trows.max())) + 1
+            n = int(max(cols.max(), tcols.max())) + 1
+        op, values = entry_sampling_from_file(args.data, m=m, n=n)
+        loss = Loss("gauss", values, normalization=1.0 / values.size)
         center = float(np.linalg.norm(values) * np.sqrt(op.m * op.n / op.d))
 
         def build(alpha):

@@ -2,12 +2,12 @@
 
 Solves norm-constrained problems of the form minimize loss(measure(X))
 without ever storing the matrix variable: the iterate lives as a small
-measurement-domain vector plus a two-sided randomized sketch, and a
-rank-r factorization is reconstructed on demand. Includes the two
-measurement operator families of the paper's experiments (entry sampling
-for matrix completion, coded diffraction for phase retrieval), the four
-losses, a dense reference solver for oracle testing, synthetic problem
-generators, and a CLI.
+measurement-domain vector plus a randomized sketch (two-sided, or the
+Nystrom sketch for psd problems), and a rank-r factorization is
+reconstructed on demand. Includes the two measurement operator families
+of the paper's experiments (entry sampling for matrix completion, coded
+diffraction for phase retrieval), the four losses, a dense reference
+solver for oracle testing, synthetic problem generators, and a CLI.
 """
 
 from .errors import (
@@ -40,7 +40,6 @@ from .probgen import (
     SyntheticPhaseSpec,
     gen_completion_problem,
     gen_phase_problem,
-    load_triples,
     poisson_photon_scale,
 )
 from .reference import (
@@ -113,7 +112,6 @@ __all__ = [
     "init_state",
     "learning_rate",
     "ledger",
-    "load_triples",
     "max_sing_vec",
     "measure_dense",
     "min_eig",

@@ -42,7 +42,7 @@ from .probgen import (
 )
 from .reference import DENSE_GUARD, cgm_dense_solve, phase_aligned_error, psnr, test_error
 from .sketch import Sketch
-from .solver import ProblemSpec, TEMPLATES, solve
+from .solver import ProblemSpec, solve
 from .spectral import SpectralConfig
 
 __all__ = [
@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--config", help="key=value config file; flags override")
     sv.add_argument("--problem", choices=("phase", "completion", "file"), required=True)
     sv.add_argument("--data", help="triples file for --problem file")
-    sv.add_argument("--template", choices=TEMPLATES, default=None)
     sv.add_argument("--loss", choices=LOSS_KINDS, default=None)
     sv.add_argument("--rank", type=int, default=None,
                     help="reconstruction rank (default: --true-rank for completion, else 1)")
@@ -280,7 +279,6 @@ def _build_solve_problem(args):
         loss=Loss(loss_kind, b, normalization=1.0 / b.size),
         alpha=alpha,
         rank=rank,
-        template=args.template or "schatten1",
         eps=args.eps,
         max_iters=args.max_iters,
         spectral=spectral,

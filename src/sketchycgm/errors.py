@@ -38,6 +38,8 @@ class ImaginaryLeakage(RuntimeError):
 class RankDeficientPsiQ(RuntimeError):
     """The least-squares system coupling the co-range sketch to the range basis
     is numerically rank-deficient, indicating a degenerate test-matrix draw.
+    Only the two-sided sketch (schatten1 template) raises it; the psd
+    Nystrom sketch has no co-range.
 
     When raised inside the solver, ``result`` holds (None, trace so far): no
     reconstruction exists, but the records made up to the failure survive.

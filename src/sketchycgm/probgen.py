@@ -1,4 +1,4 @@
-"""Synthetic problem generators and ratings-file loading.
+"""Synthetic problem generators.
 
 Generators are deterministic under their seed: every random ingredient
 (signal, operator modulations, observation mask, noise) draws from its own
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import Loss
-from .operators import CodedDiffractionOperator, EntrySamplingOperator, read_triples
+from .operators import CodedDiffractionOperator, EntrySamplingOperator
 from .reference import EvalSpec
 from .solver import ProblemSpec
 from .spectral import SpectralConfig
@@ -29,12 +29,12 @@ __all__ = [
     "SyntheticCompletionSpec",
     "gen_phase_problem",
     "gen_completion_problem",
-    "load_triples",
     "poisson_photon_scale",
     "BINARIZE_THRESHOLD",
 ]
 
 NOISE_KINDS = ("none", "gaussian", "poisson")
+# ratings strictly above this are +1 labels for the logistic loss, the rest -1
 BINARIZE_THRESHOLD = 3.5
 
 
@@ -180,8 +180,13 @@ def gen_completion_problem(
     G1 @ G2.T. Observed entries are drawn uniformly without replacement
     and split into disjoint train/test sets; the training entries, and so
     the measurements, come in row-major order. alpha defaults to the exact
-    Schatten-1 norm of the truth.
+    Schatten-1 norm of the truth. The values are real Gaussian, so only the
+    gauss and huber losses apply.
     """
+    if loss_kind not in ("gauss", "huber"):
+        raise ValueError(
+            f"synthetic completion supports the gauss and huber losses, not {loss_kind!r}"
+        )
     ss = np.random.SeedSequence(spec.seed)
     fac_seed, mask_seed, noise_seed = ss.spawn(3)
     rng = np.random.default_rng(fac_seed)
@@ -233,33 +238,3 @@ def gen_completion_problem(
             train_cols=cols[train_idx],
         )
     return prob, (G1, G2), eval_spec
-
-
-def _compact(rows: np.ndarray, cols: np.ndarray):
-    """Drop empty rows/columns by remapping indices onto the occupied ones."""
-    row_ids = np.unique(rows)
-    col_ids = np.unique(cols)
-    return (
-        np.searchsorted(row_ids, rows),
-        np.searchsorted(col_ids, cols),
-        row_ids.size,
-        col_ids.size,
-    )
-
-
-def load_triples(path, binarize_threshold: float = BINARIZE_THRESHOLD):
-    """Load a ratings file into an entry-sampling operator.
-
-    Rows and columns with no observations are removed and the remaining
-    indices compacted. Entries come in row-major order, the operator's
-    fastest layout, whatever the file order. Returns (operator, values,
-    labels) where labels binarize the ratings: above the threshold maps to
-    +1, the rest to -1.
-    """
-    raw_rows, raw_cols, values = read_triples(path)
-    rows, cols, m, n = _compact(raw_rows, raw_cols)
-    order = np.lexsort((cols, rows))
-    rows, cols, values = rows[order], cols[order], values[order]
-    op = EntrySamplingOperator(m, n, rows, cols)
-    labels = np.where(values > binarize_threshold, 1.0, -1.0)
-    return op, values, labels

@@ -1,4 +1,4 @@
-"""Two-sided randomized sketch of an implicitly maintained matrix.
+"""Randomized sketch of an implicitly maintained matrix.
 
 For a target rank r the sketch draws fixed Gaussian test matrices
 Omega (n by k) and Psi (ell by m) with k = 2r + 1 and ell = 4r + 3, and
@@ -12,6 +12,14 @@ Reconstruction orthogonalizes Y into a range basis Q, solves the least
 squares system (Psi Q) B = W through one thin SVD of Psi Q, and truncates
 the SVD of B to rank r, giving a factorization of Q [B]_r without any
 m-by-n intermediate.
+
+A sketch built with ``psd=True`` shadows a psd matrix and is the one-sided
+Nystrom sketch of Tropp, Yurtsever, Udell and Cevher (NeurIPS 2017): the
+co-range is empty and Omega takes its storage as range columns,
+min(k + ell, n) = min(6r + 4, n) of them, so both sketches hold the same
+number of scalars. Reconstruction is the shifted Nystrom approximation
+Y_nu (Omega* Y_nu)^+ Y_nu* - nu I with Y_nu = Y + nu Omega, truncated to
+rank r, which is psd by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +39,10 @@ _PSIQ_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class SketchDims:
-    """Test-matrix shapes for a rank-r sketch of an m-by-n matrix."""
+    """Test-matrix shapes of the two-sided rank-r sketch of an m-by-n matrix.
+
+    The psd sketch has no co-range and min(k + ell, n) range columns.
+    """
 
     m: int
     n: int
@@ -148,13 +159,22 @@ def _read_matrix_csv(path) -> np.ndarray:
 
 
 class Sketch:
-    """Randomized two-sided sketch with rank-one update and reconstruction."""
+    """Randomized sketch with rank-one update and reconstruction.
 
-    def __init__(self, m: int, n: int, r: int, field="real", seed=0):
+    Two-sided by default; ``psd=True`` builds the Nystrom sketch of a psd
+    matrix, which needs m = n.
+    """
+
+    def __init__(self, m: int, n: int, r: int, field="real", seed=0, psd: bool = False):
         self.dims = SketchDims(m, n, r)
         self.field = _normalize_field(field)
-        rng = np.random.default_rng(seed)
+        self.psd = psd
         k, ell = self.dims.k, self.dims.ell
+        if psd:
+            if m != n:
+                raise DimensionMismatch("a psd sketch needs a square matrix")
+            k, ell = min(k + ell, n), 0
+        rng = np.random.default_rng(seed)
         if self.field == np.complex128:
             scale = 1.0 / np.sqrt(2.0)
             self.Omega = scale * (
@@ -207,31 +227,27 @@ class Sketch:
             raise ValueError("eta must lie in [0, 1]")
         self.linear_update(1.0 - eta, eta, u, v)
 
-    def reconstruct(self, psd: bool = False) -> FactoredMatrix:
+    def reconstruct(self) -> FactoredMatrix:
         """Best rank-r factorization consistent with the sketch, r = dims.r.
 
-        With ``psd=True`` the result is additionally symmetrized and its
-        negative eigenvalues are clipped, all in factored form; U and V of
-        the returned factorization then coincide (columns are eigenvectors).
+        A psd sketch returns its psd Nystrom approximation: U and V coincide
+        (columns are eigenvectors) and S holds the eigenvalues, zero-padded
+        to r columns when the sketch has lower rank.
         """
         dims = self.dims
         r = dims.r
-        if psd and dims.m != dims.n:
-            raise DimensionMismatch("psd reconstruction needs a square matrix")
         if np.linalg.norm(self.Y) == 0.0 and np.linalg.norm(self.W) == 0.0:
             zero_u = np.zeros((dims.m, r), dtype=self.field)
-            zero_v = zero_u if psd else np.zeros((dims.n, r), dtype=self.field)
+            zero_v = zero_u if self.psd else np.zeros((dims.n, r), dtype=self.field)
             return FactoredMatrix(zero_u, np.zeros(r), zero_v)
+        if self.psd:
+            return self._nystrom()
         width = 2 if self.field == np.complex128 else 1
         m, n, k, ell = dims.m, dims.n, dims.k, dims.ell
         # an upper bound on the arrays live at once: the QR of Y (two m x k),
         # the k x n solve B beside U* W and then beside Vh, the small factors
-        # of Psi Q and B, and the rank-r result; the psd clip adds its m x 2r
-        # stack J, the QR of J and the rotated eigenvectors
-        scratch = 2 * m * k + 2 * k * n + r * (m + n) + 2 * ell * k + 3 * k * k
-        if psd:
-            scratch += 7 * m * r
-        scratch *= width
+        # of Psi Q and B, and the rank-r result
+        scratch = width * (2 * m * k + 2 * k * n + r * (m + n) + 2 * ell * k + 3 * k * k)
         with ledger.track("sketch", scratch):
             Q, _ = np.linalg.qr(self.Y)
             # one SVD of Psi Q both certifies its rank and solves (Psi Q) B = W
@@ -246,9 +262,35 @@ class Sketch:
             U = Q @ Ub[:, :r]
             S = s[:r].copy()
             V = Vh[:r].conj().T
-            if psd:
-                return _symmetrize_clip(U, S, V, r)
         return FactoredMatrix(U, S, V)
+
+    def _nystrom(self) -> FactoredMatrix:
+        n, r = self.dims.n, self.dims.r
+        k = self.Omega.shape[1]
+        width = 2 if self.field == np.complex128 else 1
+        # an upper bound on the arrays live at once: Y_nu beside the conjugate
+        # of Omega or the factor F, F beside its left singular vectors, the
+        # rank-r result, and the k x k matrices
+        scratch = width * (2 * n * k + n * r + 3 * k * k)
+        with ledger.track("sketch", scratch):
+            # the shift keeps Omega* Y_nu positive definite; nu comes off again below
+            nu = np.sqrt(n) * np.finfo(float).eps * np.linalg.norm(self.Y, 2)
+            Ynu = nu * self.Omega
+            Ynu += self.Y
+            # eigh reads one triangle of the Hermitian Omega* Y_nu; its
+            # pseudo-inverse drops eigenvalues below the two-sided solve's cut
+            w, P = np.linalg.eigh(self.Omega.conj().T @ Ynu)
+            keep = w > _PSIQ_RCOND * w[-1]
+            F = Ynu @ (P[:, keep] / np.sqrt(w[keep]))
+            del Ynu
+            U, s = np.linalg.svd(F, full_matrices=False)[:2]
+            del F
+            take = min(r, s.size)
+            out_u = np.zeros((n, r), dtype=self.field)
+            out_s = np.zeros(r)
+            out_u[:, :take] = U[:, :take]
+            out_s[:take] = np.maximum(s[:take] ** 2 - nu, 0.0)
+        return FactoredMatrix(out_u, out_s, out_u)
 
     def release(self) -> None:
         """Return this sketch's scalars to the ledger."""
@@ -257,26 +299,6 @@ class Sketch:
     def __repr__(self) -> str:
         d = self.dims
         return (
-            f"Sketch(m={d.m}, n={d.n}, r={d.r}, k={d.k}, ell={d.ell}, "
-            f"field={self.field.name})"
+            f"Sketch(m={d.m}, n={d.n}, r={d.r}, k={self.Omega.shape[1]}, "
+            f"ell={self.Psi.shape[0]}, field={self.field.name}, psd={self.psd})"
         )
-
-
-def _symmetrize_clip(U, S, V, r) -> FactoredMatrix:
-    """Factored form of clipping the Hermitian part of U diag(S) V* to psd."""
-    J = np.concatenate([U, V], axis=1)
-    Q2, _ = np.linalg.qr(J)
-    A = Q2.conj().T @ U
-    B = Q2.conj().T @ V
-    small = 0.5 * ((A * S) @ B.conj().T + (B * S) @ A.conj().T)
-    small = 0.5 * (small + small.conj().T)
-    w, P = np.linalg.eigh(small)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    vecs = Q2 @ P[:, order]
-    take = min(r, w.size)
-    out_u = np.zeros((U.shape[0], r), dtype=vecs.dtype)
-    out_s = np.zeros(r)
-    out_u[:, :take] = vecs[:, :take]
-    out_s[:take] = w[:take]
-    return FactoredMatrix(out_u, out_s, out_u)

@@ -1,11 +1,13 @@
 """Conditional gradient driver working in the measurement domain.
 
 The primal matrix variable is never formed. State is the d-vector z that
-tracks the measurements of the implicit iterate, plus a two-sided
-randomized sketch updated with the same rank-one directions, from which a
-rank-r factorization is recovered on demand. Each iteration costs one
-extreme singular pair (schatten1 template) or one extreme eigenpair (psd
-template) of the implicit gradient matrix, plus O((m+n)r) sketch work.
+tracks the measurements of the implicit iterate, plus a randomized sketch
+updated with the same rank-one directions, from which a rank-r
+factorization is recovered on demand: two-sided under the schatten1
+template, the psd Nystrom sketch under the psd template. Each iteration
+costs one extreme singular pair (schatten1 template) or one extreme
+eigenpair (psd template) of the implicit gradient matrix, plus O((m+n)r)
+sketch work.
 
 Stopping uses the duality gap of the linear minimization step, evaluated
 before the update, so a converged iterate is returned untouched. A problem
@@ -147,7 +149,8 @@ def _initial_z(spec: ProblemSpec) -> np.ndarray:
 
 
 def init_state(spec: ProblemSpec) -> SolverState:
-    sk = Sketch(spec.op.m, spec.op.n, spec.rank, field=spec.op.field, seed=spec.sketch_seed)
+    sk = Sketch(spec.op.m, spec.op.n, spec.rank, field=spec.op.field,
+                seed=spec.sketch_seed, psd=spec.template == "psd")
     return SolverState(z=_initial_z(spec), sketch=sk)
 
 
@@ -255,15 +258,14 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
     NonFiniteInput from a non-finite iterate carry the reconstruction and
     the records made so far in .result, or (None, records so far) when that
     reconstruction is rank deficient; a RankDeficientPsiQ from a
-    reconstruction carries (None, records so far).
+    reconstruction (schatten1 template only) carries (None, records so far).
     The sketch's scalars go back to the ledger before solve returns.
     """
     state = init_state(spec)
-    psd = spec.template == "psd"
 
     def observe(record):
         if eval_fn is not None:
-            record.metrics = eval_fn(state.sketch.reconstruct(psd=psd))
+            record.metrics = eval_fn(state.sketch.reconstruct())
         if callback is not None:
             callback(record, state)
 
@@ -275,12 +277,12 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
                 lambda _z, vert, eta: _apply_update(state, vert, eta),
                 observe, trace_every, trace,
             )
-        factors = state.sketch.reconstruct(psd=psd)
+        factors = state.sketch.reconstruct()
     except (NoConvergence, RankDeficientPsiQ, NonFiniteInput) as exc:
         factors = None
         if not isinstance(exc, RankDeficientPsiQ):
             try:
-                factors = state.sketch.reconstruct(psd=psd)
+                factors = state.sketch.reconstruct()
             except RankDeficientPsiQ:
                 pass
         exc.result = (factors, trace)

@@ -129,6 +129,35 @@ def test_variant_flag_is_gone():
         build_parser().parse_args(["solve", "--problem", "phase", "--variant", "poisson"])
 
 
+def test_template_flag_is_gone():
+    # the problem fixes the template: psd for phase, schatten1 otherwise
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "--problem", "completion", "--template", "psd"])
+
+
+@pytest.mark.parametrize("loss", ["poisson", "logistic"])
+def test_synthetic_completion_rejects_losses_its_values_do_not_fit(capsys, loss):
+    code, lines = _run(
+        capsys, ["solve", "--problem", "completion", "--m", "6", "--n", "5", "--loss", loss]
+    )
+    assert code == 2
+    payload = _last_json(lines)
+    assert payload["error"] == "ValueError"
+    assert "gauss and huber" in payload["message"]
+
+
+def test_file_problem_with_logistic_loss_binarizes_above_threshold(tmp_path):
+    data = tmp_path / "ratings.txt"
+    data.write_text("1 1 4.0\n2 2 3.5\n3 3 3.6\n")
+    args = build_parser().parse_args(
+        ["solve", "--problem", "file", "--data", str(data), "--loss", "logistic",
+         "--alpha", "1"]
+    )
+    prob, _ = _build_solve_problem(args)
+    # strictly above 3.5 maps to +1
+    np.testing.assert_array_equal(prob.loss.b, [1.0, -1.0, 1.0])
+
+
 def test_completion_rank_defaults_to_true_rank(tmp_path, capsys):
     out = tmp_path / "mc"
     code, _ = _run(

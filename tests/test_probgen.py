@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from sketchycgm import (
-    BINARIZE_THRESHOLD,
     SyntheticCompletionSpec,
     SyntheticPhaseSpec,
     gen_completion_problem,
     gen_phase_problem,
-    load_triples,
     poisson_photon_scale,
     write_triples,
 )
@@ -153,42 +151,3 @@ class TestCompletionGenerator:
         b, (B1, B2), _ = gen_completion_problem(spec)
         np.testing.assert_array_equal(A1, B1)
         np.testing.assert_array_equal(a.loss.b, b.loss.b)
-
-
-class TestLoadTriples:
-    def test_compaction_drops_empty_rows_and_cols(self, tmp_path):
-        path = str(tmp_path / "ratings.txt")
-        # rows 0 and 9, cols 2 and 7 only: compacted grid is 2 x 2
-        write_triples(path, [0, 9, 9], [2, 7, 2], [4.0, 3.0, 5.0])
-        op, values, labels = load_triples(path)
-        assert (op.m, op.n) == (2, 2)
-        # row-major: (0, 0), (1, 0), (1, 1) after compaction
-        np.testing.assert_array_equal(op.rows, [0, 1, 1])
-        np.testing.assert_array_equal(op.cols, [0, 0, 1])
-        np.testing.assert_array_equal(values, [4.0, 5.0, 3.0])
-
-    def test_shuffled_file_loads_row_major_and_paired(self, tmp_path):
-        path = str(tmp_path / "ratings.txt")
-        rng = np.random.default_rng(3)
-        rows, cols = np.divmod(rng.permutation(4 * 3), 3)  # every cell of a 4 x 3 grid
-        vals = rng.integers(1, 6, rows.size).astype(float)
-        write_triples(path, rows, cols, vals)
-        op, values, labels = load_triples(path)
-        assert np.all(np.diff(op.rows * op.n + op.cols) > 0)
-        loaded = zip(op.rows.tolist(), op.cols.tolist(), values.tolist())
-        assert sorted(loaded) == sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
-        np.testing.assert_array_equal(labels, np.where(values > BINARIZE_THRESHOLD, 1.0, -1.0))
-
-    def test_binarization_threshold(self, tmp_path):
-        path = str(tmp_path / "ratings.txt")
-        write_triples(path, [0, 1, 2], [0, 1, 2], [4.0, 3.5, 3.6])
-        _, _, labels = load_triples(path)
-        # strictly above threshold maps to +1
-        np.testing.assert_array_equal(labels, [1.0, -1.0, 1.0])
-        assert BINARIZE_THRESHOLD == 3.5
-
-    def test_custom_threshold(self, tmp_path):
-        path = str(tmp_path / "ratings.txt")
-        write_triples(path, [0, 1], [0, 1], [2.0, 1.0])
-        _, _, labels = load_triples(path, binarize_threshold=1.5)
-        np.testing.assert_array_equal(labels, [1.0, -1.0])

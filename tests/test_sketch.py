@@ -1,4 +1,4 @@
-"""Two-sided sketch: loop invariants, exactness, reconstruction contracts."""
+"""Two-sided and psd Nystrom sketches: loop invariants, exactness, reconstruction contracts."""
 
 import tracemalloc
 
@@ -100,9 +100,11 @@ def test_zero_sketch_reconstructs_zero():
     f = sk.reconstruct()
     assert f.rank == 2
     np.testing.assert_array_equal(f.dense(), np.zeros((6, 4)))
-    # the reconstruction rank is the sketch's own
+    # the reconstruction rank is the sketch's own, and psd is set at construction
     with pytest.raises(TypeError):
         sk.reconstruct(r=1)
+    with pytest.raises(TypeError):
+        sk.reconstruct(psd=True)
     sk.release()
 
 
@@ -120,28 +122,56 @@ def test_nonfinite_update_rejected():
     sk.release()
 
 
-def test_psd_reconstruction_clips_and_symmetrizes():
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [12, 40])  # 12 < 6r + 4: Omega holds all n columns
+def test_psd_reconstruction_is_exact(n, field):
     rng = np.random.default_rng(7)
-    n, r = 12, 3
-    Q = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    r = 3
+    A = rng.standard_normal((n, r))
+    if field == "complex":
+        A = A + 1j * rng.standard_normal((n, r))
+    Q = np.linalg.qr(A)[0]
     lam = np.array([3.0, 1.0, 0.5])
-    X = (Q * lam) @ Q.T
-    sk = Sketch(n, n, r, field="real", seed=9)
+    X = (Q * lam) @ Q.conj().T
+    sk = Sketch(n, n, r, field=field, seed=9, psd=True)
+    assert sk.Omega.shape == (n, min(6 * r + 4, n))
     for j in range(r):
         sk.linear_update(1.0, lam[j], Q[:, j], Q[:, j])
-    f = sk.reconstruct(psd=True)
-    np.testing.assert_allclose(f.U, f.V)
+    f = sk.reconstruct()
+    np.testing.assert_array_equal(f.U, f.V)
     assert np.all(f.S >= 0)
     np.testing.assert_allclose(f.dense(), X, atol=1e-10)
     sk.release()
 
 
-def test_psd_reconstruction_needs_square():
-    sk = Sketch(5, 4, 1, field="real", seed=0)
-    sk.linear_update(1.0, 1.0, np.ones(5), np.ones(4))
-    with pytest.raises(DimensionMismatch):
-        sk.reconstruct(psd=True)
+def test_psd_reconstruction_pads_to_rank():
+    # one update leaves a rank-one sketch; the factors keep r columns
+    sk = Sketch(12, 12, 3, field="real", seed=1, psd=True)
+    u = np.random.default_rng(4).standard_normal(12)
+    sk.cgm_update(u, u, 0.5)
+    f = sk.reconstruct()
+    assert f.U.shape == (12, 3) and f.rank == 3
+    np.testing.assert_allclose(f.S, [0.5 * (u @ u), 0.0, 0.0], rtol=1e-12)
+    np.testing.assert_allclose(f.dense(), 0.5 * np.outer(u, u), atol=1e-12)
     sk.release()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_psd_sketch_holds_the_two_sided_storage(field):
+    charges = []
+    for psd in (False, True):
+        before = ledger.live().get("sketch", 0)
+        sk = Sketch(64, 64, 2, field=field, seed=0, psd=psd)
+        charges.append(ledger.live()["sketch"] - before)
+        assert sk.Psi.size == sk.W.size == (0 if psd else 64 * sk.dims.ell)
+        sk.release()
+    width = 2 if field == "complex" else 1
+    assert charges[0] == charges[1] == width * 2 * 64 * (6 * 2 + 4)
+
+
+def test_psd_reconstruction_needs_square():
+    with pytest.raises(DimensionMismatch):
+        Sketch(5, 4, 1, field="real", seed=0, psd=True)
 
 
 def test_rank_deficient_psiq_detected():
@@ -180,7 +210,7 @@ def test_reconstruct_charge_bounds_traced_peak(monkeypatch, m, n, r, psd, field)
     # not by more than a factor two; at these shapes the interpreter's own
     # objects are a small part of the traced peak
     rng = np.random.default_rng(12)
-    sk = Sketch(m, n, r, field=field, seed=3)
+    sk = Sketch(m, n, r, field=field, seed=3, psd=psd)
     for _ in range(2 * r):
         u, v = _rand_pair(rng, m, n, field == "complex")
         sk.linear_update(0.9, 1.0, u, u if psd else v)
@@ -188,7 +218,7 @@ def test_reconstruct_charge_bounds_traced_peak(monkeypatch, m, n, r, psd, field)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        sk.reconstruct(psd=psd)
+        sk.reconstruct()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
