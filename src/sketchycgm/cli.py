@@ -262,8 +262,11 @@ def _build_solve_problem(args):
 
     if args.data is None:
         raise ValueError("--data is required for --problem file")
-    op, values = entry_sampling_from_file(args.data, m=args.m, n=args.n)
     loss_kind = args.loss or "gauss"
+    if loss_kind == "logistic" and args.alpha is None and args.alpha_mode == "mean-b":
+        # the mean of +-1 labels is no trace-norm scale, and often not positive
+        raise ValueError("--alpha-mode mean-b does not fit --loss logistic; pass --alpha")
+    op, values = entry_sampling_from_file(args.data, m=args.m, n=args.n)
     if loss_kind == "logistic":
         b = np.where(values > BINARIZE_THRESHOLD, 1.0, -1.0)
     else:

@@ -222,13 +222,15 @@ class CodedDiffractionOperator(MeasurementOperator):
         mags = np.where(rng.random((views, n)) < 0.8, np.sqrt(2.0) / 2.0, np.sqrt(3.0))
         super().__init__(n, n, views * n, np.complex128)
         self.views = views
-        self.modulations = phases * mags
+        phases *= mags
+        self.modulations = phases
         self.modulations.setflags(write=False)
         ledger.add("operators", nscalars(self.modulations))
 
     def _sense(self, x: np.ndarray) -> np.ndarray:
         """A x, a d-vector."""
-        return np.fft.fft(self.modulations * x[None, :], axis=1, norm="ortho").ravel()
+        buf = self.modulations * x[None, :]
+        return np.fft.fft(buf, axis=1, norm="ortho", out=buf).ravel()
 
     def _sense_adjoint(self, y: np.ndarray) -> np.ndarray:
         """A* y, an n-vector: the reference the fused adjoints are tested against."""
@@ -238,7 +240,10 @@ class CodedDiffractionOperator(MeasurementOperator):
     def apply_rank_one(self, u, v) -> np.ndarray:
         u = _check_vector(u, self.m, "u")
         v = _check_vector(v, self.n, "v")
-        return self._sense(u) * np.conj(self._sense(v))
+        au = self._sense(u)
+        # psd_measure's u u* senses its one vector once
+        av = au if v is u else self._sense(v)
+        return au * np.conj(av)
 
     def _conj_gram(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """conj(A* diag(z) A x), in one views-by-n work array."""

@@ -12,16 +12,25 @@ as the residual scale. ``max_sing_vec`` takes the bottom eigenvector v of
 and closes with one product u = G v / sigma. Each Lanczos step on -G* G
 costs one G v and one G* u, and only the n-side basis is stored, so the
 workspace is width * n * cap scalars for a Krylov cap of cap, at most
-``_KRYLOV_DIM``. Start vectors are drawn from a seeded generator so that
-independent runs reproduce identical direction sequences.
+``_KRYLOV_DIM`` = 48. Start vectors are drawn from a seeded generator so
+that independent runs reproduce identical direction sequences.
+
+The basis is stored one contiguous row per Lanczos vector. After the
+three-term recurrence each step runs one classical Gram-Schmidt pass
+against the whole basis, as one product B conj(w) and one update
+w -= c B, so the basis is never copied in conjugated form. A second pass
+runs only when the first leaves less than ``_DGKS_RATIO`` = 1/sqrt(2) of
+the vector's norm (the test of Daniel, Gragg, Kaufman and Stewart, 1976):
+"twice is enough", and once is enough unless the pass cancelled most of
+the vector, which in measured runs happened only as the Krylov space ran
+out.
 
 Every few steps a cycle checks convergence. The explicit residual, one
 extra product with the Hermitian matrix, is the only stopping test and is
 what a cycle reports. The free Ritz estimate, beta_J times the last
 component of the small Ritz vector, only decides whether a check is worth
 that product: a check runs it once the estimate is within ``_RITZ_GATE``
-of the tolerance. Projections onto the basis read it in place, with no
-conjugated copy.
+of the tolerance.
 """
 
 from __future__ import annotations
@@ -43,7 +52,10 @@ __all__ = [
 _BREAKDOWN = 1e-14
 _CHECK_EVERY = 5
 # Krylov cap: the most Lanczos vectors a cycle stores before it restarts
-_KRYLOV_DIM = 96
+_KRYLOV_DIM = 48
+# A Gram-Schmidt pass that leaves less than this fraction of the vector's
+# norm cancelled too much to trust, so it is repeated once (the DGKS test).
+_DGKS_RATIO = 1 / np.sqrt(2)
 # A convergence check runs its explicit residual only when the free Ritz
 # estimate is within this factor of the tolerance.
 _RITZ_GATE = 10.0
@@ -102,16 +114,6 @@ def _as_linop(G):
     if isinstance(G, np.ndarray):
         return _DenseLinop(G)
     return G
-
-
-def _project(B: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Coefficients B* x of x on the columns of B, without a conjugated copy of B."""
-    if B.shape[1] == 1:
-        # a one-column basis goes to another BLAS kernel; keep its rounding
-        return B.conj().T @ x
-    if np.iscomplexobj(B):
-        return np.conj(B.T @ np.conj(x))
-    return B.T @ x
 
 
 def _start_vector(size: int, iscomplex: bool, seed) -> np.ndarray:
@@ -201,27 +203,39 @@ def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None):
     raise NoConvergence(f"minimum eigenpair not resolved in {cfg.max_iters} Lanczos steps")
 
 
+def _gram_schmidt_pass(B, w):
+    """Subtract from w, in place, its projection on the orthonormal rows of B."""
+    if np.iscomplexobj(B):
+        # B conj(w) is the conjugate of the coefficients B* w
+        w -= np.conj(B @ np.conj(w)) @ B
+    else:
+        w -= (B @ w) @ B
+
+
 def _lanczos_cycle(G, q0, cap, tol):
     """One Hermitian Lanczos cycle from q0; returns the bottom Ritz pair."""
     n = G.shape[0]
     dt = np.complex128 if G.iscomplex else np.float64
-    Q = np.zeros((n, cap), dtype=dt)
+    Q = np.zeros((cap, n), dtype=dt)  # row j is the j-th Lanczos vector
     alphas = np.zeros(cap)
     betas = np.zeros(cap)
-    Q[:, 0] = q0
-    q = q0  # the newest Lanczos vector, contiguous for the operator
+    Q[0] = q0
     j = 0
     exhausted = False
     while True:
-        w = G.matvec(q)
-        alphas[j] = float(np.real(np.vdot(Q[:, j], w)))
-        w = w - alphas[j] * Q[:, j]
+        w = G.matvec(Q[j])
+        alphas[j] = float(np.real(np.vdot(Q[j], w)))
+        # a new array, so the in-place updates below never write into G's output
+        w = w - alphas[j] * Q[j]
         if j > 0:
-            w = w - betas[j - 1] * Q[:, j - 1]
-        for _ in range(2):
-            w -= Q[:, : j + 1] @ _project(Q[:, : j + 1], w)
-        J = j + 1
+            w -= betas[j - 1] * Q[j - 1]
         b = np.linalg.norm(w)
+        for _ in range(2):
+            _gram_schmidt_pass(Q[: j + 1], w)
+            before, b = b, np.linalg.norm(w)
+            if b >= _DGKS_RATIO * before:
+                break
+        J = j + 1
         scale = max(float(np.abs(alphas[:J]).max()), float(betas[:J].max()), 1e-300)
         if b <= _BREAKDOWN * scale:
             exhausted = True
@@ -236,11 +250,10 @@ def _lanczos_cycle(G, q0, cap, tol):
             final = exhausted or J == cap
             # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
             if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
-                u = Q[:, :J] @ evecs[:, 0]
+                u = evecs[:, 0] @ Q[:J]
                 resid = np.linalg.norm(G.matvec(u) - lam * u)
                 if final or resid <= bound:
                     return u, lam, resid, norm_est, J, exhausted
         betas[j] = b
-        q = w / b
-        Q[:, j + 1] = q
+        np.divide(w, b, out=Q[j + 1])
         j += 1

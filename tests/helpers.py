@@ -6,6 +6,8 @@ e_i e_j^T, so A @ X.ravel() measures X without going through any of the
 rank-one fast paths under test.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from sketchycgm import (
@@ -13,6 +15,7 @@ from sketchycgm import (
     Loss,
     ProblemSpec,
     SpectralConfig,
+    init_state,
     ledger,
 )
 from sketchycgm.spectral import _as_linop
@@ -76,6 +79,16 @@ def recorded_charges(monkeypatch) -> list:
 
     monkeypatch.setattr(ledger, "track", recording)
     return charges
+
+
+@contextmanager
+def initial_state(spec):
+    """``init_state(spec)``, whose sketch gives its scalars back to the ledger on exit."""
+    state = init_state(spec)
+    try:
+        yield state
+    finally:
+        state.sketch.release()
 
 
 def random_mask(rng, m, n, frac):

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchycgm import FactoredMatrix, init_state
+from sketchycgm import FactoredMatrix
 from sketchycgm.cli import _build_solve_problem, build_parser, main
+from helpers import initial_state
 
 
 def _run(capsys, argv):
@@ -158,6 +159,23 @@ def test_file_problem_with_logistic_loss_binarizes_above_threshold(tmp_path):
     np.testing.assert_array_equal(prob.loss.b, [1.0, -1.0, 1.0])
 
 
+def test_file_problem_rejects_mean_b_alpha_with_logistic_loss(tmp_path, capsys):
+    # the labels' mean here is -0.5: no trace-norm scale, and not even positive
+    data = tmp_path / "ratings.txt"
+    data.write_text("1 1 1.0\n1 2 2.0\n2 1 4.0\n2 2 1.5\n")
+    code, lines = _run(
+        capsys,
+        ["solve", "--problem", "file", "--data", str(data), "--loss", "logistic",
+         "--alpha-mode", "mean-b"],
+    )
+    assert code == 2
+    payload = _last_json(lines)
+    assert payload["error"] == "ValueError"
+    assert "--alpha-mode mean-b" in payload["message"]
+    assert "--loss logistic" in payload["message"]
+    assert "pass --alpha" in payload["message"]
+
+
 def test_completion_rank_defaults_to_true_rank(tmp_path, capsys):
     out = tmp_path / "mc"
     code, _ = _run(
@@ -178,7 +196,8 @@ def test_file_problem_with_poisson_loss_starts_positive(tmp_path):
     )
     prob, _ = _build_solve_problem(args)
     assert prob.variant == "poisson"
-    np.testing.assert_array_equal(init_state(prob).z, np.full(4, 0.5))
+    with initial_state(prob) as state:
+        np.testing.assert_array_equal(state.z, np.full(4, 0.5))
 
 
 def _readme_commands():

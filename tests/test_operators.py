@@ -179,6 +179,13 @@ class TestCodedDiffraction:
         A = dense_sensing_matrix(op)
         np.testing.assert_allclose(b, (A @ X.ravel()).real, atol=1e-12)
 
+    @pytest.mark.parametrize("n, views", [(8, 3), (8192, 10)])
+    def test_one_sensing_for_u_u_star_rounds_like_two(self, n, views):
+        # u u* senses u once; a copy of u takes the two-sensing path
+        op = CodedDiffractionOperator(n, views, seed=4)
+        u = _rand_vec(np.random.default_rng(6), n, True)
+        np.testing.assert_array_equal(op.apply_rank_one(u, u), op.apply_rank_one(u, u.copy()))
+
     def test_seed_determinism(self):
         a = CodedDiffractionOperator(8, 2, seed=3)
         b = CodedDiffractionOperator(8, 2, seed=3)

@@ -18,14 +18,13 @@ from sketchycgm import (
     SyntheticPhaseSpec,
     duality_gap,
     gen_phase_problem,
-    init_state,
     learning_rate,
     solve,
     update_direction,
 )
 from sketchycgm.memory import ledger
 from sketchycgm.solver import _apply_update
-from helpers import spiked_completion_problem
+from helpers import initial_state, spiked_completion_problem
 
 
 def test_learning_rate_values():
@@ -87,9 +86,9 @@ class TestProblemSpecValidation:
 
 def test_init_state_standard_starts_at_zero():
     prob = spiked_completion_problem(0, m=8, n=6, max_iters=10)
-    state = init_state(prob)
-    np.testing.assert_array_equal(state.z, np.zeros(prob.op.d))
-    assert state.t == 0
+    with initial_state(prob) as state:
+        np.testing.assert_array_equal(state.z, np.zeros(prob.op.d))
+        assert state.t == 0
 
 
 def test_init_state_poisson_starts_at_uniform():
@@ -100,19 +99,19 @@ def test_init_state_poisson_starts_at_uniform():
     ]:
         loss = Loss("poisson", np.ones(op.d), normalization=1.0)
         prob = ProblemSpec(op=op, loss=loss, alpha=1.0, rank=1, template=template)
-        state = init_state(prob)
-        np.testing.assert_allclose(state.z, np.full(op.d, 1.0 / np.sqrt(op.d)))
+        with initial_state(prob) as state:
+            np.testing.assert_allclose(state.z, np.full(op.d, 1.0 / np.sqrt(op.d)))
 
 
 def test_first_standard_step_lands_on_direction():
     # eta_0 = 1, so z_1 must equal the first direction's measurement exactly
     prob = spiked_completion_problem(1, m=10, n=7, max_iters=5)
-    state = init_state(prob)
-    grad = prob.loss.gradient(state.z)
-    direction = update_direction(prob, grad, state.t)
-    _apply_update(state, direction, learning_rate(state.t))
-    np.testing.assert_allclose(state.z, direction.h, atol=1e-15)
-    assert state.t == 1
+    with initial_state(prob) as state:
+        grad = prob.loss.gradient(state.z)
+        direction = update_direction(prob, grad, state.t)
+        _apply_update(state, direction, learning_rate(state.t))
+        np.testing.assert_allclose(state.z, direction.h, atol=1e-15)
+        assert state.t == 1
 
 
 def test_duality_gap_formula():
@@ -126,9 +125,9 @@ def test_duality_gap_formula():
 def test_direction_measurement_consistency():
     # the cached measurement h must equal measuring the rank-one update
     prob = spiked_completion_problem(2, m=9, n=6, max_iters=5)
-    state = init_state(prob)
-    grad = prob.loss.gradient(state.z)
-    d = update_direction(prob, grad, state.t)
+    with initial_state(prob) as state:
+        grad = prob.loss.gradient(state.z)
+        d = update_direction(prob, grad, state.t)
     np.testing.assert_allclose(
         d.h, prob.op.apply_rank_one(d.left, d.right), atol=1e-12
     )
@@ -136,8 +135,8 @@ def test_direction_measurement_consistency():
 
 def test_direction_scale_is_alpha():
     prob = spiked_completion_problem(3, m=9, n=6, alpha=0.7, max_iters=5)
-    state = init_state(prob)
-    d = update_direction(prob, prob.loss.gradient(state.z), state.t)
+    with initial_state(prob) as state:
+        d = update_direction(prob, prob.loss.gradient(state.z), state.t)
     assert np.linalg.norm(d.left) * np.linalg.norm(d.right) == pytest.approx(
         0.7, rel=1e-10
     )
@@ -218,6 +217,19 @@ def test_back_to_back_solves_release_the_sketch():
     before = ledger.live().get("sketch", 0)
     solve(prob)
     solve(prob)
+    assert ledger.live().get("sketch", 0) == before
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_solve_gives_back_the_sketch_scalars_it_charged(template):
+    if template == "psd":
+        prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=5)
+    else:
+        prob = spiked_completion_problem(15, m=8, n=6, max_iters=5)
+    before = ledger.live().get("sketch", 0)
+    during = []
+    solve(prob, callback=lambda record, state: during.append(ledger.live()["sketch"]))
+    assert min(during) > before
     assert ledger.live().get("sketch", 0) == before
 
 

@@ -212,6 +212,46 @@ class TestMinEig:
         assert np.linalg.norm(resid) <= 1e-7 * max(scale, 1e-30)
 
 
+def _gram_schmidt_passes(monkeypatch):
+    """Row count of the basis at each Gram-Schmidt pass the Lanczos cycles run."""
+    rows = []
+    gs_pass = sketchycgm.spectral._gram_schmidt_pass
+
+    def recording(B, w):
+        rows.append(B.shape[0])
+        gs_pass(B, w)
+
+    monkeypatch.setattr(sketchycgm.spectral, "_gram_schmidt_pass", recording)
+    return rows
+
+
+def _repeated_passes(rows):
+    # a step's passes all see the same basis; the next step sees one more row
+    return sum(a == b for a, b in zip(rows, rows[1:]))
+
+
+class TestReorthogonalization:
+    def test_exhausted_krylov_space_takes_the_second_pass(self, monkeypatch):
+        # rank 8: the Krylov space runs out after a few steps, and the last
+        # step's vector is roundoff that one pass cancels almost entirely
+        A = np.random.default_rng(12).standard_normal((300, 8))
+        H = -(A @ A.T)
+        rows = _gram_schmidt_passes(monkeypatch)
+        tol = 1e-10
+        lam, u = min_eig(H, SpectralConfig(tol=tol))
+        w = np.linalg.eigvalsh(H)
+        assert lam == pytest.approx(w[0], rel=1e-10)
+        assert np.linalg.norm(H @ u - lam * u) <= tol * np.abs(w).max()
+        assert _repeated_passes(rows) >= 1
+
+    def test_one_pass_while_the_space_grows(self, monkeypatch):
+        M = np.random.default_rng(13).standard_normal((400, 400))
+        rows = _gram_schmidt_passes(monkeypatch)
+        min_eig(M + M.T, SpectralConfig(tol=1e-8))
+        assert len(rows) > sketchycgm.spectral._KRYLOV_DIM
+        assert _repeated_passes(rows) == 0
+
+
 def _symmetric_entry_sampling(rng, n, frac):
     """Implicit Hermitian matrix over a mirrored entry sample with mirrored values."""
     rows, cols = random_mask(rng, n, n, frac)
