@@ -40,7 +40,7 @@ from .probgen import (
     gen_completion_problem,
     gen_phase_problem,
 )
-from .reference import DENSE_GUARD, cgm_dense_solve, phase_aligned_error, psnr, test_error
+from .reference import cgm_dense_solve, phase_aligned_error, psnr, test_error
 from .sketch import Sketch
 from .solver import ProblemSpec, solve
 from .spectral import SpectralConfig
@@ -326,7 +326,6 @@ def sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50, seed=0, to
             for j in range(r):
                 sk.linear_update(1.0, 1.0, A[:, j], B[:, j])
             err = np.linalg.norm(X - sk.reconstruct().dense()) / np.linalg.norm(X)
-            sk.release()
             worst = max(worst, float(err))
     return {
         "suite": "rank_exact",
@@ -358,7 +357,6 @@ def sketch_tail_suite(m=200, n=150, head_rank=5, tau=0.1, trials=100, seed=0, sl
             sk.linear_update(1.0, svals[j], U[:, j], V[:, j])
         X = (U * svals) @ V.T
         errs.append(float(np.linalg.norm(X - sk.reconstruct().dense())))
-        sk.release()
     mean_err = float(np.mean(errs))
     bound = float(3.0 * np.sqrt(2.0) * tau)
     return {
@@ -399,25 +397,18 @@ def bench_memory_rows(ns, rank=1, views=10, iters=3, seed=0):
     for n in ns:
         spectral = SpectralConfig(tol=1e-5, max_iters=5000)
         pspec = SyntheticPhaseSpec(n=n, views=views, noise_kind="none", seed=seed)
-        ledger.reset()
         prob, _x = gen_phase_problem(
             pspec, loss_kind="gauss", rank=rank, eps=1e-300,
             max_iters=iters, spectral=spectral,
         )
+        ledger.reset()
         solve(prob, trace_every=max(1, iters))
         sketchy_peak = ledger.peak
-        if n * n <= DENSE_GUARD:
-            ledger.reset()
-            prob, _x = gen_phase_problem(
-                pspec, loss_kind="gauss", rank=rank, eps=1e-300,
-                max_iters=iters, spectral=spectral,
-            )
-            try:
-                cgm_dense_solve(prob)
-                dense_peak = str(ledger.peak)
-            except TooLargeForDense:
-                dense_peak = "oom-guard"
-        else:
+        ledger.reset()
+        try:
+            cgm_dense_solve(prob)
+            dense_peak = str(ledger.peak)
+        except TooLargeForDense:
             dense_peak = "oom-guard"
         rows.append((n, sketchy_peak, dense_peak))
     return rows

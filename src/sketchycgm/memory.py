@@ -4,7 +4,11 @@ Counters track real scalars held by the major data structures; a complex
 entry counts as two. Workspaces are counted at their allocated capacity so
 measurements are deterministic. Diagnostic records such as iteration traces
 are excluded on purpose: the claims under test concern algorithm state, not
-logging. Measured code resets the ledger, runs, and reads ``peak``.
+logging. Every charge is a ``track`` block around the code that holds the
+storage: operators and sketches only record their count in ``scalars``,
+and ``solve`` and the dense oracle charge it while they run. So a solve
+leaves the live counts as it found them, whenever the caller reset the
+ledger. Measured code resets the ledger, runs, and reads ``peak``.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class AllocationLedger:
     @contextmanager
     def track(self, tag: str, count: int):
         """Count ``count`` scalars as live for the duration of a block."""
+        # charge through self.add: the benchmark's tracing patches add on the
+        # instance to take per-tag high-water marks
         self.add(tag, count)
         try:
             yield

@@ -23,7 +23,7 @@ after construction and store Theta(d) parameters.
 Entry sampling keeps the caller's measurement order and is fastest on a
 row-grouped index set (row-major order, as the loaders and the completion
 generator give): it then stores about d index scalars. Unsorted input stays
-correct but is slower and can cost up to 4d ledger scalars.
+correct but is slower and can cost up to 4d index scalars.
 
 DFTs are unitary throughout. Entry indices in text files are 1-based; in
 memory everything is 0-based.
@@ -40,7 +40,7 @@ from .errors import (
     NonFiniteInput,
     ParseError,
 )
-from .memory import ledger, nscalars
+from .memory import nscalars
 
 __all__ = [
     "MeasurementOperator",
@@ -83,9 +83,10 @@ def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 class MeasurementOperator:
     """Linear map from m-by-n matrices to d measurements.
 
-    Subclasses implement the three primitives. ``psd_measure`` is derived:
-    it measures the psd rank-one matrix u u*, asserts that the result is
-    real up to roundoff, and returns the real part.
+    Subclasses implement the three primitives and set ``scalars``, the count
+    of real scalars they store, which a solve charges while it runs.
+    ``psd_measure`` is derived: it measures the psd rank-one matrix u u*,
+    asserts that the result is real up to roundoff, and returns the real part.
     """
 
     def __init__(self, m: int, n: int, d: int, field: np.dtype):
@@ -170,9 +171,7 @@ class EntrySamplingOperator(MeasurementOperator):
         self.run_starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self.run_rows = rows[self.run_starts]
         self.run_lengths = np.diff(self.run_starts, append=rows.size)
-        ledger.add(
-            "operators", nscalars(cols, self.run_starts, self.run_rows, self.run_lengths)
-        )
+        self.scalars = nscalars(cols, self.run_starts, self.run_rows, self.run_lengths)
 
     @property
     def rows(self) -> np.ndarray:
@@ -225,7 +224,7 @@ class CodedDiffractionOperator(MeasurementOperator):
         phases *= mags
         self.modulations = phases
         self.modulations.setflags(write=False)
-        ledger.add("operators", nscalars(self.modulations))
+        self.scalars = nscalars(self.modulations)
 
     def _sense(self, x: np.ndarray) -> np.ndarray:
         """A x, a d-vector."""

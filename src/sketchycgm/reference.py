@@ -6,13 +6,12 @@ can compare the implicit state against ground truth. It is deliberately
 guarded to small problems: its role is oracle, not production path. It
 runs the spec as given, to spec.max_iters; a spec with the poisson loss
 carries z by the sketched solver's recurrence instead of re-measuring the
-dense iterate. With
-spectral_mode="lanczos" it calls the same seeded linear minimization
-oracle as the sketched solver, so both produce identical direction
-sequences; spectral_mode="dense" swaps in full factorizations for runs
-that must reach very small gaps without iterative-solver stalls. Either
-way the extreme pair becomes a vertex through the one shared
-``solver.vertex`` routine.
+dense iterate. With spectral_mode="lanczos" it calls the same seeded
+linear minimization oracle as the sketched solver, so both produce
+identical direction sequences; spectral_mode="dense" swaps in full
+factorizations for runs that must reach very small gaps without
+iterative-solver stalls. Either way the extreme pair becomes a vertex
+through the one shared ``solver.vertex`` routine.
 
 Metrics: effective rank of a spectrum, phase-aligned relative error for
 phase retrieval, PSNR, and held-out entrywise test error evaluated from
@@ -157,7 +156,8 @@ def cgm_dense_solve(
 
     Stops when the duality gap reaches spec.eps or after spec.max_iters
     updates. callback(DenseIterate) fires at every recorded iterate, before
-    the update is applied.
+    the update is applied. Like solve, it charges the operator's storage
+    only while it runs.
     """
     op = spec.op
     if op.m * op.n > DENSE_GUARD:
@@ -182,7 +182,8 @@ def cgm_dense_solve(
 
     direction = update_direction if spectral_mode == "lanczos" else _exact_direction
     trace = []
-    with ledger.track("dense_cgm", width * (2 * m * n + k * (m + n + 1))):
+    dense = width * (2 * m * n + k * (m + n + 1))
+    with ledger.track("operators", op.scalars), ledger.track("dense_cgm", dense):
         _cgm_loop(spec, _initial_z(spec), direction, advance, observe, trace_every, trace)
     return X, trace
 

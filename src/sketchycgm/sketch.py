@@ -162,7 +162,8 @@ class Sketch:
     """Randomized sketch with rank-one update and reconstruction.
 
     Two-sided by default; ``psd=True`` builds the Nystrom sketch of a psd
-    matrix, which needs m = n.
+    matrix, which needs m = n. ``scalars`` counts the stored test matrices
+    and shadows; a solve charges it while it holds the sketch.
     """
 
     def __init__(self, m: int, n: int, r: int, field="real", seed=0, psd: bool = False):
@@ -188,7 +189,7 @@ class Sketch:
             self.Psi = rng.standard_normal((ell, m))
         self.Y = np.zeros((m, k), dtype=self.field)
         self.W = np.zeros((ell, n), dtype=self.field)
-        ledger.add("sketch", nscalars(self.Omega, self.Psi, self.Y, self.W))
+        self.scalars = nscalars(self.Omega, self.Psi, self.Y, self.W)
 
     @property
     def m(self) -> int:
@@ -291,10 +292,6 @@ class Sketch:
             out_u[:, :take] = U[:, :take]
             out_s[:take] = np.maximum(s[:take] ** 2 - nu, 0.0)
         return FactoredMatrix(out_u, out_s, out_u)
-
-    def release(self) -> None:
-        """Return this sketch's scalars to the ledger."""
-        ledger.sub("sketch", nscalars(self.Omega, self.Psi, self.Y, self.W))
 
     def __repr__(self) -> str:
         d = self.dims

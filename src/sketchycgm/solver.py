@@ -259,7 +259,8 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
     the records made so far in .result, or (None, records so far) when that
     reconstruction is rank deficient; a RankDeficientPsiQ from a
     reconstruction (schatten1 template only) carries (None, records so far).
-    The sketch's scalars go back to the ledger before solve returns.
+    The operator and the sketch count as live storage only while solve
+    runs, so the ledger's live counts after it are those before it.
     """
     state = init_state(spec)
 
@@ -270,24 +271,23 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
             callback(record, state)
 
     trace: list[IterationRecord] = []
-    try:
-        with ledger.track("solver", 3 * spec.op.d):
-            _cgm_loop(
-                spec, state.z, update_direction,
-                lambda _z, vert, eta: _apply_update(state, vert, eta),
-                observe, trace_every, trace,
-            )
-        factors = state.sketch.reconstruct()
-    except (NoConvergence, RankDeficientPsiQ, NonFiniteInput) as exc:
-        factors = None
-        if not isinstance(exc, RankDeficientPsiQ):
-            try:
-                factors = state.sketch.reconstruct()
-            except RankDeficientPsiQ:
-                pass
-        exc.result = (factors, trace)
-        raise
-    finally:
-        state.sketch.release()
+    with ledger.track("operators", spec.op.scalars), ledger.track("sketch", state.sketch.scalars):
+        try:
+            with ledger.track("solver", 3 * spec.op.d):
+                _cgm_loop(
+                    spec, state.z, update_direction,
+                    lambda _z, vert, eta: _apply_update(state, vert, eta),
+                    observe, trace_every, trace,
+                )
+            factors = state.sketch.reconstruct()
+        except (NoConvergence, RankDeficientPsiQ, NonFiniteInput) as exc:
+            factors = None
+            if not isinstance(exc, RankDeficientPsiQ):
+                try:
+                    factors = state.sketch.reconstruct()
+                except RankDeficientPsiQ:
+                    pass
+            exc.result = (factors, trace)
+            raise
     return factors, trace
 

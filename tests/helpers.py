@@ -6,8 +6,6 @@ e_i e_j^T, so A @ X.ravel() measures X without going through any of the
 rank-one fast paths under test.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from sketchycgm import (
@@ -15,7 +13,6 @@ from sketchycgm import (
     Loss,
     ProblemSpec,
     SpectralConfig,
-    init_state,
     ledger,
 )
 from sketchycgm.spectral import _as_linop
@@ -81,14 +78,9 @@ def recorded_charges(monkeypatch) -> list:
     return charges
 
 
-@contextmanager
-def initial_state(spec):
-    """``init_state(spec)``, whose sketch gives its scalars back to the ledger on exit."""
-    state = init_state(spec)
-    try:
-        yield state
-    finally:
-        state.sketch.release()
+def live_charges() -> dict:
+    """The process ledger's live counts, leaving out tags back at zero."""
+    return {tag: count for tag, count in ledger.live().items() if count}
 
 
 def random_mask(rng, m, n, frac):

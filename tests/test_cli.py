@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchycgm import FactoredMatrix
+from sketchycgm import FactoredMatrix, init_state
 from sketchycgm.cli import _build_solve_problem, build_parser, main
-from helpers import initial_state
 
 
 def _run(capsys, argv):
@@ -196,8 +195,7 @@ def test_file_problem_with_poisson_loss_starts_positive(tmp_path):
     )
     prob, _ = _build_solve_problem(args)
     assert prob.variant == "poisson"
-    with initial_state(prob) as state:
-        np.testing.assert_array_equal(state.z, np.full(4, 0.5))
+    np.testing.assert_array_equal(init_state(prob).z, np.full(4, 0.5))
 
 
 def _readme_commands():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sketchycgm import AllocationLedger, nscalars
+from sketchycgm import (
+    AllocationLedger,
+    CodedDiffractionOperator,
+    EntrySamplingOperator,
+    Sketch,
+    ledger,
+    nscalars,
+)
 
 
 def test_nscalars_real_and_complex():
@@ -60,3 +67,13 @@ def test_reset_clears_everything():
     led.reset()
     assert led.live() == {}
     assert led.peak == 0
+
+
+def test_building_operators_and_sketches_charges_nothing():
+    # their storage counts only while a solve holds them
+    before = ledger.live()
+    CodedDiffractionOperator(16, 4, seed=0)
+    EntrySamplingOperator(3, 3, [0, 1, 2], [2, 0, 1])
+    Sketch(10, 10, 1)
+    Sketch(10, 10, 1, field="complex", psd=True)
+    assert ledger.live() == before

@@ -13,8 +13,6 @@ from sketchycgm import (
     NonFiniteInput,
     RankDeficientPsiQ,
     Sketch,
-    ledger,
-    nscalars,
 )
 from helpers import recorded_charges
 
@@ -34,7 +32,6 @@ def test_sketch_dims():
     assert sk.Psi.shape == (sk.dims.ell, 10)
     assert sk.dims.k == 2 * 2 + 1
     assert sk.dims.ell == 4 * 2 + 3
-    sk.release()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -50,7 +47,6 @@ def test_rank_r_exactness(field):
         X += np.outer(u, np.conj(v))
     Xhat = sk.reconstruct().dense()
     assert np.linalg.norm(X - Xhat) <= 1e-10 * np.linalg.norm(X)
-    sk.release()
 
 
 @settings(deadline=None, max_examples=20)
@@ -68,7 +64,6 @@ def test_linear_update_tracks_dense_shadow(seed, steps):
         X = b1 * X + b2 * np.outer(u, v)
     np.testing.assert_allclose(sk.Y, X @ sk.Omega, atol=1e-10)
     np.testing.assert_allclose(sk.W, sk.Psi @ X, atol=1e-10)
-    sk.release()
 
 
 def test_cgm_update_is_convex_combination():
@@ -84,15 +79,12 @@ def test_cgm_update_is_convex_combination():
     b.linear_update(0.75, 0.25, u1, v1)
     np.testing.assert_array_equal(a.Y, b.Y)
     np.testing.assert_array_equal(a.W, b.W)
-    a.release()
-    b.release()
 
 
 def test_cgm_update_eta_domain():
     sk = Sketch(4, 4, 1, field="real", seed=0)
     with pytest.raises(ValueError, match="eta"):
         sk.cgm_update(np.ones(4), np.ones(4), 1.5)
-    sk.release()
 
 
 def test_zero_sketch_reconstructs_zero():
@@ -105,21 +97,18 @@ def test_zero_sketch_reconstructs_zero():
         sk.reconstruct(r=1)
     with pytest.raises(TypeError):
         sk.reconstruct(psd=True)
-    sk.release()
 
 
 def test_complex_factors_rejected_on_real_sketch():
     sk = Sketch(4, 4, 1, field="real", seed=0)
     with pytest.raises(DimensionMismatch):
         sk.linear_update(1.0, 1.0, np.ones(4) * 1j, np.ones(4))
-    sk.release()
 
 
 def test_nonfinite_update_rejected():
     sk = Sketch(4, 4, 1, field="real", seed=0)
     with pytest.raises(NonFiniteInput):
         sk.linear_update(1.0, np.nan, np.ones(4), np.ones(4))
-    sk.release()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -141,7 +130,6 @@ def test_psd_reconstruction_is_exact(n, field):
     np.testing.assert_array_equal(f.U, f.V)
     assert np.all(f.S >= 0)
     np.testing.assert_allclose(f.dense(), X, atol=1e-10)
-    sk.release()
 
 
 def test_psd_reconstruction_pads_to_rank():
@@ -153,18 +141,15 @@ def test_psd_reconstruction_pads_to_rank():
     assert f.U.shape == (12, 3) and f.rank == 3
     np.testing.assert_allclose(f.S, [0.5 * (u @ u), 0.0, 0.0], rtol=1e-12)
     np.testing.assert_allclose(f.dense(), 0.5 * np.outer(u, u), atol=1e-12)
-    sk.release()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_psd_sketch_holds_the_two_sided_storage(field):
     charges = []
     for psd in (False, True):
-        before = ledger.live().get("sketch", 0)
         sk = Sketch(64, 64, 2, field=field, seed=0, psd=psd)
-        charges.append(ledger.live()["sketch"] - before)
+        charges.append(sk.scalars)
         assert sk.Psi.size == sk.W.size == (0 if psd else 64 * sk.dims.ell)
-        sk.release()
     width = 2 if field == "complex" else 1
     assert charges[0] == charges[1] == width * 2 * 64 * (6 * 2 + 4)
 
@@ -181,7 +166,6 @@ def test_rank_deficient_psiq_detected():
     sk.Psi = np.outer(np.ones(sk.dims.ell), np.eye(6)[0])
     with pytest.raises(RankDeficientPsiQ):
         sk.reconstruct()
-    sk.release()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -198,7 +182,6 @@ def test_reconstruction_solve_matches_lstsq(field):
     expect = (Q @ Ub[:, :r] * s[:r]) @ Vh[:r]
     got = sk.reconstruct().dense()
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
-    sk.release()
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -222,20 +205,10 @@ def test_reconstruct_charge_bounds_traced_peak(monkeypatch, m, n, r, psd, field)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        sk.release()
     [(tag, charged)] = charges
     traced = (peak - start) / 8
     assert tag == "sketch"
     assert traced <= charged <= 2 * traced
-
-
-def test_release_returns_scalars_to_ledger():
-    before = ledger.live().get("sketch", 0)
-    sk = Sketch(30, 20, 2, field="real", seed=0)
-    held = nscalars(sk.Omega, sk.Psi, sk.Y, sk.W)
-    assert ledger.live()["sketch"] == before + held
-    sk.release()
-    assert ledger.live().get("sketch", 0) == before
 
 
 class TestFactoredMatrix:

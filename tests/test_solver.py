@@ -15,16 +15,19 @@ from sketchycgm import (
     ProblemSpec,
     RankDeficientPsiQ,
     SpectralConfig,
+    SyntheticCompletionSpec,
     SyntheticPhaseSpec,
     duality_gap,
+    gen_completion_problem,
     gen_phase_problem,
+    init_state,
     learning_rate,
     solve,
     update_direction,
 )
 from sketchycgm.memory import ledger
 from sketchycgm.solver import _apply_update
-from helpers import initial_state, spiked_completion_problem
+from helpers import live_charges, spiked_completion_problem
 
 
 def test_learning_rate_values():
@@ -86,9 +89,9 @@ class TestProblemSpecValidation:
 
 def test_init_state_standard_starts_at_zero():
     prob = spiked_completion_problem(0, m=8, n=6, max_iters=10)
-    with initial_state(prob) as state:
-        np.testing.assert_array_equal(state.z, np.zeros(prob.op.d))
-        assert state.t == 0
+    state = init_state(prob)
+    np.testing.assert_array_equal(state.z, np.zeros(prob.op.d))
+    assert state.t == 0
 
 
 def test_init_state_poisson_starts_at_uniform():
@@ -99,19 +102,18 @@ def test_init_state_poisson_starts_at_uniform():
     ]:
         loss = Loss("poisson", np.ones(op.d), normalization=1.0)
         prob = ProblemSpec(op=op, loss=loss, alpha=1.0, rank=1, template=template)
-        with initial_state(prob) as state:
-            np.testing.assert_allclose(state.z, np.full(op.d, 1.0 / np.sqrt(op.d)))
+        np.testing.assert_allclose(init_state(prob).z, np.full(op.d, 1.0 / np.sqrt(op.d)))
 
 
 def test_first_standard_step_lands_on_direction():
     # eta_0 = 1, so z_1 must equal the first direction's measurement exactly
     prob = spiked_completion_problem(1, m=10, n=7, max_iters=5)
-    with initial_state(prob) as state:
-        grad = prob.loss.gradient(state.z)
-        direction = update_direction(prob, grad, state.t)
-        _apply_update(state, direction, learning_rate(state.t))
-        np.testing.assert_allclose(state.z, direction.h, atol=1e-15)
-        assert state.t == 1
+    state = init_state(prob)
+    grad = prob.loss.gradient(state.z)
+    direction = update_direction(prob, grad, state.t)
+    _apply_update(state, direction, learning_rate(state.t))
+    np.testing.assert_allclose(state.z, direction.h, atol=1e-15)
+    assert state.t == 1
 
 
 def test_duality_gap_formula():
@@ -125,9 +127,8 @@ def test_duality_gap_formula():
 def test_direction_measurement_consistency():
     # the cached measurement h must equal measuring the rank-one update
     prob = spiked_completion_problem(2, m=9, n=6, max_iters=5)
-    with initial_state(prob) as state:
-        grad = prob.loss.gradient(state.z)
-        d = update_direction(prob, grad, state.t)
+    state = init_state(prob)
+    d = update_direction(prob, prob.loss.gradient(state.z), state.t)
     np.testing.assert_allclose(
         d.h, prob.op.apply_rank_one(d.left, d.right), atol=1e-12
     )
@@ -135,8 +136,8 @@ def test_direction_measurement_consistency():
 
 def test_direction_scale_is_alpha():
     prob = spiked_completion_problem(3, m=9, n=6, alpha=0.7, max_iters=5)
-    with initial_state(prob) as state:
-        d = update_direction(prob, prob.loss.gradient(state.z), state.t)
+    state = init_state(prob)
+    d = update_direction(prob, prob.loss.gradient(state.z), state.t)
     assert np.linalg.norm(d.left) * np.linalg.norm(d.right) == pytest.approx(
         0.7, rel=1e-10
     )
@@ -212,12 +213,11 @@ def test_iteration_cap_is_not_an_error():
 
 
 def test_back_to_back_solves_release_the_sketch():
-    # the operator stays charged: the caller built it and still holds it
     prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=20)
-    before = ledger.live().get("sketch", 0)
+    before = live_charges()
     solve(prob)
     solve(prob)
-    assert ledger.live().get("sketch", 0) == before
+    assert live_charges() == before
 
 
 @pytest.mark.parametrize("template", ["psd", "schatten1"])
@@ -226,11 +226,49 @@ def test_solve_gives_back_the_sketch_scalars_it_charged(template):
         prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=5)
     else:
         prob = spiked_completion_problem(15, m=8, n=6, max_iters=5)
-    before = ledger.live().get("sketch", 0)
+    before = live_charges()
     during = []
     solve(prob, callback=lambda record, state: during.append(ledger.live()["sketch"]))
-    assert min(during) > before
-    assert ledger.live().get("sketch", 0) == before
+    assert min(during) > before.get("sketch", 0)
+    assert live_charges() == before
+
+
+def _generated_problem(template):
+    if template == "psd":
+        return gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=5)[0]
+    spec = SyntheticCompletionSpec(m=12, n=10, true_rank=2)
+    return gen_completion_problem(spec, max_iters=5)[0]
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_peak_does_not_depend_on_when_the_ledger_was_reset(template):
+    peaks = []
+    for reset_first in (True, False):
+        if reset_first:
+            ledger.reset()
+        prob = _generated_problem(template)
+        if not reset_first:
+            ledger.reset()
+        solve(prob)
+        peaks.append(ledger.peak)
+        assert live_charges() == {}
+    assert peaks[0] == peaks[1]
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_solve_charges_every_tag_through_add(monkeypatch, template):
+    # the benchmark takes per-tag high-water marks by patching ledger.add
+    prob = _generated_problem(template)
+    tags = set()
+    add = ledger.add
+
+    def recording(tag, count):
+        tags.add(tag)
+        add(tag, count)
+
+    monkeypatch.setattr(ledger, "add", recording)
+    solve(prob)
+    assert tags == {"solver", "spectral", "sketch", "losses", "operators"}
 
 
 def test_lmo_failure_keeps_partial_result(monkeypatch):
@@ -244,10 +282,10 @@ def test_lmo_failure_keeps_partial_result(monkeypatch):
         return lmo(G, cfg, start_seed=start_seed)
 
     monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
-    before = ledger.live().get("sketch", 0)
+    before = live_charges()
     with pytest.raises(NoConvergence) as exc:
         solve(prob)
-    assert ledger.live().get("sketch", 0) == before
+    assert live_charges() == before
     factors, trace = exc.value.result
     assert [rec.t for rec in trace] == [0, 1, 2]
     assert [rec.gap for rec in trace] == [rec.gap for rec in ref_trace[:3]]
@@ -263,10 +301,10 @@ def test_non_finite_iterate_keeps_partial_result():
         if record.t == 2:
             state.z[0] = np.nan
 
-    before = ledger.live().get("sketch", 0)
+    before = live_charges()
     with pytest.raises(NonFiniteInput) as exc:
         solve(prob, callback=poison_z)
-    assert ledger.live().get("sketch", 0) == before
+    assert live_charges() == before
     factors, trace = exc.value.result
     assert [rec.t for rec in trace] == [0, 1, 2]
     assert [rec.gap for rec in trace] == [rec.gap for rec in ref_trace[:3]]
@@ -290,10 +328,10 @@ def test_lmo_failure_on_degenerate_sketch_keeps_trace(monkeypatch):
             state.sketch.Psi[:] = state.sketch.Psi[0]
 
     monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
-    before = ledger.live().get("sketch", 0)
+    before = live_charges()
     with pytest.raises(NoConvergence, match="forced at t=3") as exc:
         solve(prob, callback=collapse_psi)
-    assert ledger.live().get("sketch", 0) == before
+    assert live_charges() == before
     factors, trace = exc.value.result
     assert factors is None
     assert [rec.t for rec in trace] == [0, 1, 2]
@@ -309,10 +347,10 @@ def test_degenerate_sketch_keeps_trace(monitored):
         if record.t == 2:
             state.sketch.Psi[:] = state.sketch.Psi[0]
 
-    before = ledger.live().get("sketch", 0)
+    before = live_charges()
     with pytest.raises(RankDeficientPsiQ) as exc:
         solve(prob, eval_fn=(lambda factors: {}) if monitored else None, callback=collapse_psi)
-    assert ledger.live().get("sketch", 0) == before
+    assert live_charges() == before
     factors, trace = exc.value.result
     assert factors is None
     assert [rec.t for rec in trace] == ([0, 1, 2] if monitored else [0, 1, 2, 3, 4, 5])
