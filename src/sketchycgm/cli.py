@@ -153,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--sketch-seed", type=int, default=0)
     sv.add_argument("--spectral-seed", type=int, default=0)
-    sv.add_argument("--spectral-tol", type=float, default=1e-8)
+    sv.add_argument("--spectral-tol", type=float, default=1e-8,
+                    help="residual tolerance of the linear minimization step from iteration "
+                         "998 on; iteration t runs to this times max(1, 1000/(t+2))")
     sv.add_argument("--trace-every", type=int, default=1)
     sv.add_argument("--out", default=None, help="directory for artifacts")
     _add_generator_flags(sv)

@@ -54,7 +54,11 @@ class AllocationLedger:
             left = self._live.get(tag, 0) - int(count)
             if left < 0:
                 raise ValueError(f"ledger counter {tag!r} would go negative")
-            self._live[tag] = left
+            if left:
+                self._live[tag] = left
+            else:
+                # a tag back at zero is gone, so a balanced track leaves live() as it was
+                self._live.pop(tag, None)
 
     @contextmanager
     def track(self, tag: str, count: int):

@@ -147,7 +147,7 @@ class _NegatedGram:
         return -self.G.rmatvec(self.G.matvec(v))
 
 
-def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None):
+def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
     """Top singular triple (u, v, sigma) of an implicit matrix.
 
     Parameters
@@ -155,6 +155,7 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None):
     G : object with shape, matvec, rmatvec, iscomplex (or a dense ndarray)
     cfg : SpectralConfig, residual tolerance and iteration budget
     start_seed : overrides cfg.seed for the start vector draw
+    tol : overrides cfg.tol as the residual tolerance
 
     v is the bottom eigenvector of -G* G from ``min_eig``, whose residual
     bound ``|G* G v - sigma^2 v| <= tol * sigma^2`` gives ``max(|G v - sigma
@@ -163,7 +164,7 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None):
     numerically zero matrix and ``NoConvergence`` if the budget runs out.
     """
     G = _as_linop(G)
-    _, v = min_eig(_NegatedGram(G), cfg, start_seed)
+    _, v = min_eig(_NegatedGram(G), cfg, start_seed, tol=tol)
     p = G.matvec(v)
     sigma = np.linalg.norm(p)
     if sigma == 0.0:
@@ -173,15 +174,18 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None):
     return u * ph, v * ph, float(sigma)
 
 
-def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None):
+def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
     """Minimum eigenpair (lam, u) of an implicit Hermitian matrix.
 
     The caller guarantees G is Hermitian (matvec only is used). The result
     satisfies ``|G u - lam u| <= tol * norm_estimate`` with the norm
     estimated from the extreme Ritz values, and u's largest-magnitude entry
-    is real positive.
+    is real positive. start_seed and tol override cfg.seed and cfg.tol.
     """
     cfg = cfg or SpectralConfig()
+    tol = cfg.tol if tol is None else tol
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     G = _as_linop(G)
     n, n2 = G.shape
     if n != n2:
@@ -195,9 +199,9 @@ def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None):
     while used < cfg.max_iters:
         cap = int(min(_KRYLOV_DIM, cfg.max_iters - used, n))
         with ledger.track("spectral", width * n * cap + 4 * cap):
-            u, lam, resid, norm_est, steps, exact = _lanczos_cycle(G, q0, cap, cfg.tol)
+            u, lam, resid, norm_est, steps, exact = _lanczos_cycle(G, q0, cap, tol)
         used += steps
-        if exact or resid <= cfg.tol * max(norm_est, 1e-300):
+        if exact or resid <= tol * max(norm_est, 1e-300):
             return float(lam), u * _canonical_phase(u)
         q0 = u / np.linalg.norm(u)
     raise NoConvergence(f"minimum eigenpair not resolved in {cfg.max_iters} Lanczos steps")

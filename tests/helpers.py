@@ -78,11 +78,6 @@ def recorded_charges(monkeypatch) -> list:
     return charges
 
 
-def live_charges() -> dict:
-    """The process ledger's live counts, leaving out tags back at zero."""
-    return {tag: count for tag, count in ledger.live().items() if count}
-
-
 def random_mask(rng, m, n, frac):
     """Duplicate-free index pair sample covering round(frac * m * n) entries."""
     count = max(1, int(round(frac * m * n)))

@@ -44,6 +44,16 @@ def test_track_restores_on_exit():
     assert led.peak == 102
 
 
+def test_balanced_track_on_a_new_tag_leaves_nothing_live():
+    led = AllocationLedger()
+    with led.track("x", 7):
+        assert led.live() == {"x": 7}
+    assert led.live() == {}
+    led.add("y", 3)
+    led.sub("y", 3)
+    assert led.live() == {}
+
+
 def test_track_restores_on_exception():
     led = AllocationLedger()
     with pytest.raises(RuntimeError):

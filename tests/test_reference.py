@@ -69,7 +69,13 @@ def test_dense_solve_agrees_with_sketchy_on_pinned_instance():
 def test_dense_solve_agrees_with_sketchy_on_psd_phase(seed, loss_kind):
     # the psd template through the shared oracle; the poisson variant carries
     # z by the same recurrence in both solvers, so its gaps agree bit for bit,
-    # while the standard dense oracle re-measures X and agrees to roundoff
+    # while the standard dense oracle re-measures X and agrees to roundoff.
+    # The gauss cases sit near the rtol because that roundoff grows along the
+    # run, not because the two runs take different Lanczos stops: with the
+    # oracle at a fixed tolerance, seed 2 makes the same stops in both solvers
+    # (654 steps each) and its gaps still drift apart to 7.5e-10 at t = 40,
+    # about x10 every 7 iterations. Any change to the trajectory redraws these
+    # numbers; it must pass at this rtol, not loosen it.
     prob, _x = gen_phase_problem(
         SyntheticPhaseSpec(n=16, views=6, seed=seed), loss_kind=loss_kind,
         eps=1e-300, max_iters=40,

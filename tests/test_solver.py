@@ -17,6 +17,8 @@ from sketchycgm import (
     SpectralConfig,
     SyntheticCompletionSpec,
     SyntheticPhaseSpec,
+    cgm_dense_solve,
+    dense_adjoint,
     duality_gap,
     gen_completion_problem,
     gen_phase_problem,
@@ -27,7 +29,7 @@ from sketchycgm import (
 )
 from sketchycgm.memory import ledger
 from sketchycgm.solver import _apply_update
-from helpers import live_charges, spiked_completion_problem
+from helpers import spiked_completion_problem
 
 
 def test_learning_rate_values():
@@ -214,10 +216,10 @@ def test_iteration_cap_is_not_an_error():
 
 def test_back_to_back_solves_release_the_sketch():
     prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=20)
-    before = live_charges()
+    before = ledger.live()
     solve(prob)
     solve(prob)
-    assert live_charges() == before
+    assert ledger.live() == before
 
 
 @pytest.mark.parametrize("template", ["psd", "schatten1"])
@@ -226,11 +228,11 @@ def test_solve_gives_back_the_sketch_scalars_it_charged(template):
         prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=5)
     else:
         prob = spiked_completion_problem(15, m=8, n=6, max_iters=5)
-    before = live_charges()
+    before = ledger.live()
     during = []
     solve(prob, callback=lambda record, state: during.append(ledger.live()["sketch"]))
     assert min(during) > before.get("sketch", 0)
-    assert live_charges() == before
+    assert ledger.live() == before
 
 
 def _generated_problem(template):
@@ -251,7 +253,7 @@ def test_peak_does_not_depend_on_when_the_ledger_was_reset(template):
             ledger.reset()
         solve(prob)
         peaks.append(ledger.peak)
-        assert live_charges() == {}
+        assert ledger.live() == {}
     assert peaks[0] == peaks[1]
 
 
@@ -271,21 +273,85 @@ def test_solve_charges_every_tag_through_add(monkeypatch, template):
     assert tags == {"solver", "spectral", "sketch", "losses", "operators"}
 
 
+def _record_lmo_tols(monkeypatch) -> list:
+    """(t, tol) of every oracle call the solver makes through its module globals."""
+    asked = []
+    for name in ("min_eig", "max_sing_vec"):
+        routine = getattr(sketchycgm.solver, name)
+
+        def recording(G, cfg, start_seed, tol, routine=routine):
+            asked.append((start_seed[1], tol))
+            return routine(G, cfg, start_seed=start_seed, tol=tol)
+
+        monkeypatch.setattr(sketchycgm.solver, name, recording)
+    return asked
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_lmo_tolerance_follows_the_schedule(monkeypatch, template):
+    prob = replace(_generated_problem(template), eps=1e-300, max_iters=12)
+    asked = _record_lmo_tols(monkeypatch)
+    solve(prob)
+    # far enough out that the schedule sits at its floor
+    grad = prob.loss.gradient(np.zeros(prob.op.d))
+    for t in (996, 997, 998, 999, 5000):
+        update_direction(prob, grad, t)
+    ts = [t for t, _ in asked]
+    assert ts == list(range(13)) + [996, 997, 998, 999, 5000]
+    tol = prob.spectral.tol
+    for t, asked_tol in asked:
+        assert asked_tol == tol * max(1, 1000 / (t + 2))
+        assert asked_tol >= tol
+    assert [asked_tol for t, asked_tol in asked if t >= 998] == [tol] * 3
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_dense_oracle_asks_for_the_same_tolerances(monkeypatch, template):
+    prob = replace(_generated_problem(template), eps=1e-300, max_iters=12)
+    asked = _record_lmo_tols(monkeypatch)
+    solve(prob)
+    sketched = list(asked)
+    asked.clear()
+    cgm_dense_solve(prob, spectral_mode="lanczos")
+    assert asked == sketched
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gap_stays_within_the_exact_oracle_gap(seed):
+    # the early oracle is inexact, so the reported gap, taken at its vertex,
+    # may fall short of the exact one; the schedule keeps that shortfall tiny
+    prob, _ = gen_phase_problem(
+        SyntheticPhaseSpec(n=64, views=6, noise_kind="none", seed=seed),
+        loss_kind="gauss", eps=1e-300, max_iters=60,
+    )
+    rel = []
+
+    def exact_gap(record, state):
+        grad = prob.loss.gradient(state.z)
+        lam_min = np.linalg.eigvalsh(dense_adjoint(prob.op, grad))[0]
+        exact = float(np.real(np.vdot(state.z, grad))) - prob.alpha * min(lam_min, 0.0)
+        rel.append(abs(record.gap - exact) / abs(exact))
+
+    _, trace = solve(prob, callback=exact_gap)
+    assert len(rel) == len(trace) == 61
+    assert max(rel) <= 1e-9
+
+
 def test_lmo_failure_keeps_partial_result(monkeypatch):
     prob = spiked_completion_problem(13, m=8, n=6, eps=1e-300, max_iters=10)
     ref_factors, ref_trace = solve(replace(prob, max_iters=3))
     lmo = sketchycgm.solver.max_sing_vec
 
-    def fail_at_t3(G, cfg, start_seed):
+    def fail_at_t3(G, cfg, start_seed, tol):
         if start_seed[1] == 3:
             raise NoConvergence("forced at t=3")
-        return lmo(G, cfg, start_seed=start_seed)
+        return lmo(G, cfg, start_seed=start_seed, tol=tol)
 
     monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
-    before = live_charges()
+    before = ledger.live()
     with pytest.raises(NoConvergence) as exc:
         solve(prob)
-    assert live_charges() == before
+    assert ledger.live() == before
     factors, trace = exc.value.result
     assert [rec.t for rec in trace] == [0, 1, 2]
     assert [rec.gap for rec in trace] == [rec.gap for rec in ref_trace[:3]]
@@ -301,10 +367,10 @@ def test_non_finite_iterate_keeps_partial_result():
         if record.t == 2:
             state.z[0] = np.nan
 
-    before = live_charges()
+    before = ledger.live()
     with pytest.raises(NonFiniteInput) as exc:
         solve(prob, callback=poison_z)
-    assert live_charges() == before
+    assert ledger.live() == before
     factors, trace = exc.value.result
     assert [rec.t for rec in trace] == [0, 1, 2]
     assert [rec.gap for rec in trace] == [rec.gap for rec in ref_trace[:3]]
@@ -318,20 +384,20 @@ def test_lmo_failure_on_degenerate_sketch_keeps_trace(monkeypatch):
     prob = spiked_completion_problem(14, m=8, n=6, eps=1e-300, max_iters=10)
     lmo = sketchycgm.solver.max_sing_vec
 
-    def fail_at_t3(G, cfg, start_seed):
+    def fail_at_t3(G, cfg, start_seed, tol):
         if start_seed[1] == 3:
             raise NoConvergence("forced at t=3")
-        return lmo(G, cfg, start_seed=start_seed)
+        return lmo(G, cfg, start_seed=start_seed, tol=tol)
 
     def collapse_psi(record, state):
         if record.t == 2:
             state.sketch.Psi[:] = state.sketch.Psi[0]
 
     monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
-    before = live_charges()
+    before = ledger.live()
     with pytest.raises(NoConvergence, match="forced at t=3") as exc:
         solve(prob, callback=collapse_psi)
-    assert live_charges() == before
+    assert ledger.live() == before
     factors, trace = exc.value.result
     assert factors is None
     assert [rec.t for rec in trace] == [0, 1, 2]
@@ -347,10 +413,10 @@ def test_degenerate_sketch_keeps_trace(monitored):
         if record.t == 2:
             state.sketch.Psi[:] = state.sketch.Psi[0]
 
-    before = live_charges()
+    before = ledger.live()
     with pytest.raises(RankDeficientPsiQ) as exc:
         solve(prob, eval_fn=(lambda factors: {}) if monitored else None, callback=collapse_psi)
-    assert live_charges() == before
+    assert ledger.live() == before
     factors, trace = exc.value.result
     assert factors is None
     assert [rec.t for rec in trace] == ([0, 1, 2] if monitored else [0, 1, 2, 3, 4, 5])

@@ -195,6 +195,17 @@ class TestMinEig:
         lam, _ = min_eig(H, SpectralConfig(tol=1e-10))
         assert lam > 0
 
+    @pytest.mark.parametrize("routine", [min_eig, max_sing_vec], ids=["min_eig", "max_sing_vec"])
+    def test_tol_keyword_overrides_the_config(self, routine):
+        A = np.random.default_rng(11).standard_normal((30, 30))
+        H = A + A.T
+        want = routine(H, SpectralConfig(tol=1e-11))
+        got = routine(H, SpectralConfig(tol=1e-2), tol=1e-11)
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(w, g)
+        with pytest.raises(ValueError, match="tol"):
+            routine(H, tol=0.0)
+
     def test_requires_square(self):
         rng = np.random.default_rng(9)
         with pytest.raises(Exception):
