@@ -59,7 +59,6 @@ from .solver import (
     IterationRecord,
     ProblemSpec,
     SolverState,
-    duality_gap,
     init_state,
     learning_rate,
     solve,
@@ -104,7 +103,6 @@ __all__ = [
     "ZeroTruth",
     "cgm_dense_solve",
     "dense_adjoint",
-    "duality_gap",
     "entry_sampling_from_file",
     "eps_rank",
     "gen_completion_problem",

@@ -28,7 +28,7 @@ from .errors import DimensionMismatch, TooLargeForDense, ZeroTruth
 from .losses import LOSS_KINDS, Loss
 from .memory import ledger
 from .sketch import FactoredMatrix
-from .solver import Direction, ProblemSpec, _cgm_loop, _initial_z, update_direction, vertex
+from .solver import Direction, ProblemSpec, _cgm_loop, _initial_z, _step, update_direction, vertex
 from .spectral import _canonical_phase
 
 __all__ = [
@@ -128,22 +128,17 @@ def dense_adjoint(op, z: np.ndarray) -> np.ndarray:
     return G
 
 
-def _dense_real(z: np.ndarray) -> np.ndarray:
-    # measurement families here are real valued; imaginary residue is roundoff
-    return z.real if np.iscomplexobj(z) else z
-
-
 def _exact_direction(spec: ProblemSpec, grad: np.ndarray, t: int) -> Direction:
     """Vertex from a full factorization, canonicalized like the iterative path."""
     G = dense_adjoint(spec.op, grad)
     if spec.template == "psd":
         w, P = np.linalg.eigh(0.5 * (G + G.conj().T))
         u = P[:, 0]
-        return vertex(spec, u * _canonical_phase(u), lam=float(w[0]))
-    U, _s, Vh = np.linalg.svd(G)
+        return vertex(spec, u * _canonical_phase(u), rho=float(w[0]))
+    U, s, Vh = np.linalg.svd(G)
     u, v = U[:, 0], Vh[0].conj()
     ph = _canonical_phase(u)
-    return vertex(spec, u * ph, v * ph)
+    return vertex(spec, u * ph, v * ph, float(s[0]))
 
 
 def cgm_dense_solve(
@@ -171,10 +166,11 @@ def cgm_dense_solve(
     poisson = spec.variant == "poisson"
 
     def advance(z, vert, eta):
-        X[:] = (1.0 - eta) * X + eta * np.outer(vert.left, vert.right.conj())
+        X[:] = (1.0 - eta) * X + eta * np.outer(vert.left, vert.v.conj())
         if poisson:
-            return (1.0 - eta) * z + eta * vert.h
-        return _dense_real(measure_dense(op, X))
+            return _step(spec, z, vert, eta)
+        # measurement families here are real valued; imaginary residue is roundoff
+        return measure_dense(op, X).real
 
     def observe(record):
         if callback is not None:

@@ -10,13 +10,14 @@ eigenpair (psd template) of the implicit gradient matrix, plus O((m+n)r)
 sketch work.
 
 Stopping uses the duality gap of the linear minimization step, evaluated
-before the update, so a converged iterate is returned untouched. The
-oracle is inexact on purpose: its residual tolerance starts loose and
-tightens like 1/(t+2) down to spec.spectral.tol, after the approximate
-oracle of Jaggi (ICML 2013). The gap is evaluated at the vertex the oracle
-returns, so it falls short of the exact gap by alpha times the amount by
-which that vertex's Rayleigh quotient misses the extreme eigenvalue (or
-singular value).
+before the update, so a converged iterate is returned untouched. It is
+Re<z, g> minus the value <vertex, G> that the oracle returns with its
+vertex (Jaggi, ICML 2013), so only the update measures the vertex and the
+loop holds two d-vectors. The oracle is inexact on purpose: its residual
+tolerance starts loose and tightens like 1/(t+2) down to
+spec.spectral.tol, after Jaggi's approximate oracle. So the gap falls
+short of the exact gap by alpha times the amount by which the vertex's
+Rayleigh quotient misses the extreme eigenvalue (or singular value).
 
 A problem with the poisson loss runs the poisson variant, which changes
 only the starting point (a strictly positive vector, keeping the
@@ -59,7 +60,6 @@ __all__ = [
     "init_state",
     "vertex",
     "update_direction",
-    "duality_gap",
     "solve",
 ]
 
@@ -121,7 +121,6 @@ class ProblemSpec:
 class SolverState:
     z: np.ndarray
     sketch: Sketch
-    t: int = 0
 
 
 @dataclass
@@ -136,11 +135,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class Direction:
-    """Rank-one update left @ right^H (scaling folded into left) and its measurements h."""
+    """Vertex weight * u v^H (v is u for psd), left = weight * u, and its value Re<vertex, G>."""
 
-    left: np.ndarray
-    right: np.ndarray
-    h: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    weight: float
+    value: float
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.weight * self.u
 
 
 def learning_rate(t: int, variant: str = "standard") -> float:
@@ -168,24 +172,20 @@ def init_state(spec: ProblemSpec) -> SolverState:
     return SolverState(z=_initial_z(spec), sketch=sk)
 
 
-def vertex(spec: ProblemSpec, u=None, v=None, lam: float = 0.0) -> Direction:
-    """Vertex of the constraint set at an extreme pair of the gradient matrix.
+def vertex(spec: ProblemSpec, u=None, v=None, rho: float = 0.0) -> Direction:
+    """Vertex of the constraint set at an extreme pair of the gradient matrix G.
 
-    schatten1: -alpha u v^H for the top singular pair (u, v). psd: alpha u u^H
-    for the bottom eigenvector u, or the zero matrix when its eigenvalue lam
-    is positive. u=None also gives the zero matrix: the gradient vanishes and
-    the iterate is already optimal.
+    rho = Re(u* G v) is the pair's Rayleigh quotient. schatten1: -alpha u v^H
+    for the top singular pair (u, v), with rho = sigma. psd: alpha u u^H for
+    the bottom eigenvector u, with rho = u* G u, or the zero matrix when rho
+    is positive. u=None also gives the zero matrix: the gradient vanishes
+    and the iterate is already optimal. The vertex's value is weight * rho.
     """
-    op = spec.op
-    if u is None or lam > 0:
-        return Direction(
-            left=np.zeros(op.m, dtype=op.field),
-            right=np.zeros(op.n, dtype=op.field),
-            h=np.zeros(op.d),
-        )
-    if spec.template == "psd":
-        return Direction(left=spec.alpha * u, right=u, h=spec.alpha * op.psd_measure(u))
-    return Direction(left=-spec.alpha * u, right=v, h=-spec.alpha * op.apply_rank_one(u, v))
+    op, psd = spec.op, spec.template == "psd"
+    if u is None or (psd and rho > 0):
+        return Direction(np.zeros(op.m, dtype=op.field), np.zeros(op.n, dtype=op.field), 0.0, 0.0)
+    weight = spec.alpha if psd else -spec.alpha
+    return Direction(u, u if psd else v, weight, weight * rho)
 
 
 def update_direction(spec: ProblemSpec, grad, t: int) -> Direction:
@@ -200,31 +200,39 @@ def update_direction(spec: ProblemSpec, grad, t: int) -> Direction:
     tol = spec.spectral.tol * max(1.0, _TOL_RAMP / (t + 2))
     try:
         if spec.template == "psd":
-            lam, u = min_eig(G, spec.spectral, start_seed=seed, tol=tol)
-            return vertex(spec, u, lam=lam)
-        u, v, _sigma = max_sing_vec(G, spec.spectral, start_seed=seed, tol=tol)
-        return vertex(spec, u, v)
+            rho, u = min_eig(G, spec.spectral, start_seed=seed, tol=tol)
+            return vertex(spec, u, rho=rho)
+        u, v, sigma = max_sing_vec(G, spec.spectral, start_seed=seed, tol=tol)
+        return vertex(spec, u, v, sigma)
     except ZeroGradient:
         return vertex(spec)
 
 
-def duality_gap(z, h, grad) -> float:
-    """Suboptimality certificate <z - h, grad>, real part over complex fields."""
-    return float(np.real(np.vdot(z - h, grad)))
+def _step(spec: ProblemSpec, z: np.ndarray, vert: Direction, eta: float) -> np.ndarray:
+    """z <- (1 - eta) z + eta h in place, where h measures the vertex (0 at the zero vertex)."""
+    z *= 1.0 - eta
+    if vert.weight != 0.0:
+        if spec.template == "psd":
+            h = vert.weight * spec.op.psd_measure(vert.u)
+        else:
+            h = vert.weight * spec.op.apply_rank_one(vert.u, vert.v)
+        h *= eta
+        z += h
+    return z
 
 
 def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: int, trace: list):
     """The conditional gradient iteration shared by solve and the dense oracle.
 
-    From the measurement vector z each pass takes the loss gradient, the
-    vertex direction(spec, grad, t) and the duality gap. Iterates with
-    t % trace_every == 0, and always the terminal one, get an
-    IterationRecord that observe(record) sees before the update. The run
-    stops once the gap reaches spec.eps or t reaches spec.max_iters;
-    otherwise advance(z, vertex, eta) moves the caller's iterate and returns
-    the next z. The loss data count as live storage while the loop runs.
-    Records go to the caller's list ``trace``, so they outlive a failure
-    inside the loop.
+    From the measurement vector z each pass takes the loss gradient g, the
+    vertex direction(spec, g, t) and the gap Re<z, g> - vertex.value, then
+    releases g. Iterates with t % trace_every == 0, and always the terminal
+    one, get an IterationRecord that observe(record) sees before the
+    update. The run stops once the gap reaches spec.eps or t reaches
+    spec.max_iters; otherwise advance(z, vertex, eta) moves the caller's
+    iterate and returns the next z. The loss data count as live storage
+    while the loop runs. Records go to the caller's list ``trace``, so they
+    outlive a failure inside the loop.
     """
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
@@ -235,7 +243,8 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
         while True:
             grad = loss.gradient(z)
             vert = direction(spec, grad, t)
-            gap = duality_gap(z, vert.h, grad)
+            gap = float(np.real(np.vdot(z, grad))) - vert.value
+            del grad
             terminal = gap <= spec.eps or t >= spec.max_iters
             eta = learning_rate(t, spec.variant)
             if terminal or t % trace_every == 0:
@@ -254,32 +263,25 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
             t += 1
 
 
-def _apply_update(state: SolverState, direction: Direction, eta: float) -> np.ndarray:
-    state.z = (1.0 - eta) * state.z + eta * direction.h
-    state.sketch.cgm_update(direction.left, direction.right, eta)
-    state.t += 1
-    return state.z
-
-
 def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
     """Run until the duality gap falls to eps or max_iters updates elapse.
 
     Each iteration asks the linear minimization oracle for residual
     tolerance spec.spectral.tol * max(1, 1000 / (t + 2)) (see
-    ``update_direction``), and each gap is evaluated at the vertex it
-    returns.
+    ``update_direction``), and each gap subtracts the value of its vertex.
 
     Returns (factors, trace): the rank-r reconstruction from the sketch and
     the list of IterationRecord. Records are kept every trace_every
     iterations plus always at the terminal iterate; when eval_fn is given
     it receives the current reconstruction at each recorded iterate and its
     dict lands in record.metrics. callback(record, state) fires after each
-    record. Hitting max_iters is not an error: trace[-1].gap tells whether
-    the run reached eps. A NoConvergence from the spectral routines and a
-    NonFiniteInput from a non-finite iterate carry the reconstruction and
-    the records made so far in .result, or (None, records so far) when that
-    reconstruction is rank deficient; a RankDeficientPsiQ from a
-    reconstruction (schatten1 template only) carries (None, records so far).
+    record, whose field t is the iteration. Hitting max_iters is not an
+    error: trace[-1].gap tells whether the run reached eps. A NoConvergence
+    from the spectral routines and a NonFiniteInput from a non-finite
+    iterate carry the reconstruction and the records made so far in
+    .result, or (None, records so far) when that reconstruction is rank
+    deficient; a RankDeficientPsiQ from a reconstruction (schatten1
+    template only) carries (None, records so far).
     The operator and the sketch count as live storage only while solve
     runs, so the ledger's live counts after it are those before it.
     """
@@ -291,15 +293,15 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
         if callback is not None:
             callback(record, state)
 
+    def advance(z, vert, eta):
+        state.sketch.cgm_update(vert.left, vert.v, eta)
+        return _step(spec, z, vert, eta)
+
     trace: list[IterationRecord] = []
     with ledger.track("operators", spec.op.scalars), ledger.track("sketch", state.sketch.scalars):
         try:
-            with ledger.track("solver", 3 * spec.op.d):
-                _cgm_loop(
-                    spec, state.z, update_direction,
-                    lambda _z, vert, eta: _apply_update(state, vert, eta),
-                    observe, trace_every, trace,
-                )
+            with ledger.track("solver", 2 * spec.op.d):
+                _cgm_loop(spec, state.z, update_direction, advance, observe, trace_every, trace)
             factors = state.sketch.reconstruct()
         except (NoConvergence, RankDeficientPsiQ, NonFiniteInput) as exc:
             factors = None

@@ -4,16 +4,17 @@ The matrix G = adjoint(z) built from a gradient vector z is reached only
 through one-sided products G v and G* u supplied by a measurement operator;
 it is never materialized. One Krylov engine serves both templates:
 ``min_eig`` runs restarted Hermitian Lanczos tridiagonalization with full
-reorthogonalization and reads off the minimum Ritz pair; because Krylov
-spaces are shift invariant this coincides with shifting by a norm estimate
-and chasing the top of the shifted matrix, and the norm estimate survives
-as the residual scale. ``max_sing_vec`` takes the bottom eigenvector v of
--G* G from ``min_eig`` (Golub-Kahan bidiagonalization in exact arithmetic)
-and closes with one product u = G v / sigma. Each Lanczos step on -G* G
-costs one G v and one G* u, and only the n-side basis is stored, so the
-workspace is width * n * cap scalars for a Krylov cap of cap, at most
-``_KRYLOV_DIM`` = 48. Start vectors are drawn from a seeded generator so
-that independent runs reproduce identical direction sequences.
+reorthogonalization and reads off the minimum Ritz vector u with its
+Rayleigh quotient u* G u; because Krylov spaces are shift invariant this
+coincides with shifting by a norm estimate and chasing the top of the
+shifted matrix, and the norm estimate survives as the residual scale.
+``max_sing_vec`` takes the bottom eigenvector v of -G* G from ``min_eig``
+(Golub-Kahan bidiagonalization in exact arithmetic) and closes with one
+product u = G v / sigma. Each Lanczos step on -G* G costs one G v and one
+G* u, and only the n-side basis is stored, so the workspace is width * n *
+cap scalars for a Krylov cap of cap, at most ``_KRYLOV_DIM`` = 48. Start
+vectors are drawn from a seeded generator so that independent runs
+reproduce identical direction sequences.
 
 The basis is stored one contiguous row per Lanczos vector. After the
 three-term recurrence each step runs one classical Gram-Schmidt pass
@@ -175,12 +176,13 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None
 
 
 def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
-    """Minimum eigenpair (lam, u) of an implicit Hermitian matrix.
+    """Minimum eigenpair (rho, u) of an implicit Hermitian matrix.
 
-    The caller guarantees G is Hermitian (matvec only is used). The result
-    satisfies ``|G u - lam u| <= tol * norm_estimate`` with the norm
-    estimated from the extreme Ritz values, and u's largest-magnitude entry
-    is real positive. start_seed and tol override cfg.seed and cfg.tol.
+    The caller guarantees G is Hermitian (matvec only is used). u satisfies
+    ``|G u - lam u| <= tol * norm_estimate`` for its Ritz value lam, with the
+    norm estimated from the extreme Ritz values, and its largest-magnitude
+    entry is real positive. rho = Re(u* G u), its Rayleigh quotient, is read
+    from G u in that residual. start_seed and tol override cfg.seed and cfg.tol.
     """
     cfg = cfg or SpectralConfig()
     tol = cfg.tol if tol is None else tol
@@ -199,10 +201,10 @@ def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
     while used < cfg.max_iters:
         cap = int(min(_KRYLOV_DIM, cfg.max_iters - used, n))
         with ledger.track("spectral", width * n * cap + 4 * cap):
-            u, lam, resid, norm_est, steps, exact = _lanczos_cycle(G, q0, cap, tol)
+            u, rho, resid, norm_est, steps, exact = _lanczos_cycle(G, q0, cap, tol)
         used += steps
         if exact or resid <= tol * max(norm_est, 1e-300):
-            return float(lam), u * _canonical_phase(u)
+            return rho, u * _canonical_phase(u)
         q0 = u / np.linalg.norm(u)
     raise NoConvergence(f"minimum eigenpair not resolved in {cfg.max_iters} Lanczos steps")
 
@@ -217,7 +219,7 @@ def _gram_schmidt_pass(B, w):
 
 
 def _lanczos_cycle(G, q0, cap, tol):
-    """One Hermitian Lanczos cycle from q0; returns the bottom Ritz pair."""
+    """One Hermitian Lanczos cycle from q0; returns the bottom Ritz vector and its Re(u* G u)."""
     n = G.shape[0]
     dt = np.complex128 if G.iscomplex else np.float64
     Q = np.zeros((cap, n), dtype=dt)  # row j is the j-th Lanczos vector
@@ -255,9 +257,10 @@ def _lanczos_cycle(G, q0, cap, tol):
             # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
             if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
                 u = evecs[:, 0] @ Q[:J]
-                resid = np.linalg.norm(G.matvec(u) - lam * u)
+                Gu = G.matvec(u)
+                resid = np.linalg.norm(Gu - lam * u)
                 if final or resid <= bound:
-                    return u, lam, resid, norm_est, J, exhausted
+                    return u, float(np.real(np.vdot(u, Gu))), resid, norm_est, J, exhausted
         betas[j] = b
         np.divide(w, b, out=Q[j + 1])
         j += 1

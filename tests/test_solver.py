@@ -1,5 +1,7 @@
 """Solver loop: schedule, directions, gap, invariants, termination."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,6 @@ from sketchycgm import (
     SyntheticPhaseSpec,
     cgm_dense_solve,
     dense_adjoint,
-    duality_gap,
     gen_completion_problem,
     gen_phase_problem,
     init_state,
@@ -28,7 +29,7 @@ from sketchycgm import (
     update_direction,
 )
 from sketchycgm.memory import ledger
-from sketchycgm.solver import _apply_update
+from sketchycgm.solver import vertex
 from helpers import spiked_completion_problem
 
 
@@ -93,7 +94,6 @@ def test_init_state_standard_starts_at_zero():
     prob = spiked_completion_problem(0, m=8, n=6, max_iters=10)
     state = init_state(prob)
     np.testing.assert_array_equal(state.z, np.zeros(prob.op.d))
-    assert state.t == 0
 
 
 def test_init_state_poisson_starts_at_uniform():
@@ -109,40 +109,52 @@ def test_init_state_poisson_starts_at_uniform():
 
 def test_first_standard_step_lands_on_direction():
     # eta_0 = 1, so z_1 must equal the first direction's measurement exactly
-    prob = spiked_completion_problem(1, m=10, n=7, max_iters=5)
-    state = init_state(prob)
-    grad = prob.loss.gradient(state.z)
-    direction = update_direction(prob, grad, state.t)
-    _apply_update(state, direction, learning_rate(state.t))
-    np.testing.assert_allclose(state.z, direction.h, atol=1e-15)
-    assert state.t == 1
+    prob = spiked_completion_problem(1, m=10, n=7, max_iters=1)
+    direction = update_direction(prob, prob.loss.gradient(np.zeros(prob.op.d)), 0)
+    seen = {}
+    solve(prob, callback=lambda record, state: seen.update({record.t: state.z.copy()}))
+    assert list(seen) == [0, 1]
+    np.testing.assert_array_equal(
+        seen[1], -prob.alpha * prob.op.apply_rank_one(direction.u, direction.v)
+    )
 
 
-def test_duality_gap_formula():
-    z = np.array([1.0, -2.0])
-    h = np.array([0.5, 1.0])
-    g = np.array([2.0, 3.0])
-    # real part of <z - h, g>
-    assert duality_gap(z, h, g) == pytest.approx(0.5 * 2.0 + (-3.0) * 3.0)
+def _positive_definite_psd_problem():
+    # the gradient adjoint at z = 0 is the identity: every vertex but zero
+    # has positive value, so the psd oracle must pick the zero matrix
+    op = EntrySamplingOperator(4, 4, [0, 1, 2, 3], [0, 1, 2, 3])
+    loss = Loss("gauss", [-1.0, -1.0, -1.0, -1.0])
+    return ProblemSpec(op=op, loss=loss, alpha=1.0, rank=1, template="psd")
 
 
 def test_direction_measurement_consistency():
-    # the cached measurement h must equal measuring the rank-one update
-    prob = spiked_completion_problem(2, m=9, n=6, max_iters=5)
-    state = init_state(prob)
-    d = update_direction(prob, prob.loss.gradient(state.z), state.t)
-    np.testing.assert_allclose(
-        d.h, prob.op.apply_rank_one(d.left, d.right), atol=1e-12
-    )
+    # the value the gap subtracts is the real inner product of the measured
+    # vertex with the gradient, for the psd, schatten1 and zero vertices
+    psd, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=5)
+    for prob in (psd, spiked_completion_problem(2, m=9, n=6, max_iters=5),
+                 _positive_definite_psd_problem()):
+        grad = prob.loss.gradient(np.zeros(prob.op.d))
+        d = update_direction(prob, grad, 0)
+        h = prob.op.apply_rank_one(d.left, d.v)
+        measured = float(np.real(np.vdot(h, grad)))
+        assert abs(d.value - measured) <= 1e-12 * abs(measured)
+    # the last instance's vertex is the zero matrix
+    assert d.weight == 0.0 and d.value == 0.0 and not np.any(h)
 
 
 def test_direction_scale_is_alpha():
     prob = spiked_completion_problem(3, m=9, n=6, alpha=0.7, max_iters=5)
-    state = init_state(prob)
-    d = update_direction(prob, prob.loss.gradient(state.z), state.t)
-    assert np.linalg.norm(d.left) * np.linalg.norm(d.right) == pytest.approx(
-        0.7, rel=1e-10
-    )
+    d = update_direction(prob, prob.loss.gradient(np.zeros(prob.op.d)), 0)
+    assert d.weight == -0.7
+    assert np.linalg.norm(d.left) * np.linalg.norm(d.v) == pytest.approx(0.7, rel=1e-10)
+
+
+def test_zero_psd_vertex_is_decided_on_the_rayleigh_quotient():
+    prob = _positive_definite_psd_problem()
+    u = np.full(4, 0.5)
+    assert vertex(prob, u, rho=1e-300).weight == 0.0
+    assert vertex(prob, u, rho=0.0).weight == 1.0
+    assert vertex(prob, u, rho=-1.0).value == -1.0
 
 
 def test_gap_nonnegative_along_run():
@@ -175,9 +187,9 @@ def test_solver_loop_invariants_generic_instance():
         worst["Y"] = max(worst["Y"], np.abs(sk.Y - X @ sk.Omega).max())
         worst["W"] = max(worst["W"], np.abs(sk.W - sk.Psi @ X).max())
         # replay the deterministic update the solver is about to take
-        d = update_direction(prob, prob.loss.gradient(state.z), state.t)
-        eta = learning_rate(state.t, prob.variant)
-        shadow["X"] = (1 - eta) * X + eta * np.outer(d.left, np.conj(d.right))
+        d = update_direction(prob, prob.loss.gradient(state.z), record.t)
+        eta = learning_rate(record.t, prob.variant)
+        shadow["X"] = (1 - eta) * X + eta * np.outer(d.left, np.conj(d.v))
 
     solve(prob, trace_every=1, callback=cb)
     assert worst["z"] <= 1e-10
@@ -188,9 +200,7 @@ def test_solver_loop_invariants_generic_instance():
 def test_psd_zero_direction_terminates():
     # positive-definite gradient adjoint: the psd template's best direction
     # is the zero matrix, the gap vanishes, and the solve stops at once
-    op = EntrySamplingOperator(4, 4, [0, 1, 2, 3], [0, 1, 2, 3])
-    loss = Loss("gauss", [-1.0, -1.0, -1.0, -1.0])
-    prob = ProblemSpec(op=op, loss=loss, alpha=1.0, rank=1, template="psd")
+    prob = _positive_definite_psd_problem()
     factors, trace = solve(prob)
     assert trace[-1].t == 0
     assert trace[-1].gap == 0.0
@@ -230,9 +240,24 @@ def test_solve_gives_back_the_sketch_scalars_it_charged(template):
         prob = spiked_completion_problem(15, m=8, n=6, max_iters=5)
     before = ledger.live()
     during = []
-    solve(prob, callback=lambda record, state: during.append(ledger.live()["sketch"]))
-    assert min(during) > before.get("sketch", 0)
+    solve(prob, callback=lambda record, state: during.append(ledger.live()))
+    assert min(live["sketch"] for live in during) > before.get("sketch", 0)
+    # z and the gradient, or z and the vertex measurements: never all three
+    assert [live["solver"] for live in during] == [2 * prob.op.d] * len(during)
     assert ledger.live() == before
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_a_solve_retains_nothing_after_it_returns(template):
+    # a reference kept past the solve would hold the loss data and operator
+    # indices into the next problem's generation
+    prob = _generated_problem(template)
+    refs = [weakref.ref(prob), weakref.ref(prob.loss)]
+    solve(prob)
+    cgm_dense_solve(prob)
+    del prob
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def _generated_problem(template):
@@ -316,20 +341,34 @@ def test_dense_oracle_asks_for_the_same_tolerances(monkeypatch, template):
     assert asked == sketched
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_gap_stays_within_the_exact_oracle_gap(seed):
+@pytest.mark.parametrize(
+    "template, seed",
+    [pytest.param("psd", seed, id=str(seed)) for seed in range(3)]
+    + [pytest.param("schatten1", seed, id=f"schatten1-{seed}") for seed in range(3)],
+)
+def test_gap_stays_within_the_exact_oracle_gap(template, seed):
     # the early oracle is inexact, so the reported gap, taken at its vertex,
     # may fall short of the exact one; the schedule keeps that shortfall tiny
-    prob, _ = gen_phase_problem(
-        SyntheticPhaseSpec(n=64, views=6, noise_kind="none", seed=seed),
-        loss_kind="gauss", eps=1e-300, max_iters=60,
-    )
+    if template == "psd":
+        prob, _ = gen_phase_problem(
+            SyntheticPhaseSpec(n=64, views=6, noise_kind="none", seed=seed),
+            loss_kind="gauss", eps=1e-300, max_iters=60,
+        )
+    else:
+        prob = gen_completion_problem(
+            SyntheticCompletionSpec(m=40, n=30, true_rank=3, seed=seed),
+            eps=1e-300, max_iters=60,
+        )[0]
     rel = []
 
     def exact_gap(record, state):
         grad = prob.loss.gradient(state.z)
-        lam_min = np.linalg.eigvalsh(dense_adjoint(prob.op, grad))[0]
-        exact = float(np.real(np.vdot(state.z, grad))) - prob.alpha * min(lam_min, 0.0)
+        G = dense_adjoint(prob.op, grad)
+        if template == "psd":
+            extreme = -min(np.linalg.eigvalsh(G)[0], 0.0)
+        else:
+            extreme = np.linalg.svd(G, compute_uv=False)[0]
+        exact = float(np.real(np.vdot(state.z, grad))) + prob.alpha * extreme
         rel.append(abs(record.gap - exact) / abs(exact))
 
     _, trace = solve(prob, callback=exact_gap)
