@@ -119,6 +119,26 @@ def test_first_standard_step_lands_on_direction():
     )
 
 
+def test_duality_gap_formula():
+    # each recorded gap is Re<z - h, g> at its iterate z, gradient g and the
+    # measurement h of the vertex the oracle returns there
+    psd, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=6)
+    for prob in (psd, spiked_completion_problem(4, m=9, n=6, max_iters=6)):
+        checked = []
+
+        def formula(record, state):
+            grad = prob.loss.gradient(state.z)
+            d = update_direction(prob, grad, record.t)
+            h = prob.op.apply_rank_one(d.left, d.v)
+            expected = float(np.real(np.vdot(state.z - h, grad)))
+            scale = abs(np.vdot(state.z, grad)) + abs(np.vdot(h, grad))
+            assert abs(record.gap - expected) <= 1e-12 * scale
+            checked.append(record.t)
+
+        _, trace = solve(prob, callback=formula)
+        assert checked == [rec.t for rec in trace] and len(checked) > 1
+
+
 def _positive_definite_psd_problem():
     # the gradient adjoint at z = 0 is the identity: every vertex but zero
     # has positive value, so the psd oracle must pick the zero matrix
