@@ -211,7 +211,7 @@ def _write_trace_csv(path: Path, trace) -> None:
                     keys.append(key)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "eta", "gap", "objective", "wall_ms", *keys])
+        writer.writerow(["t", "eta", "gap", "objective", "wall_ms", "lmo_products", *keys])
         for rec in trace:
             row = [
                 rec.t,
@@ -219,6 +219,7 @@ def _write_trace_csv(path: Path, trace) -> None:
                 f"{rec.gap:.17g}",
                 f"{rec.objective:.17g}",
                 f"{rec.wall_ms:.6g}",
+                rec.lmo_products,
             ]
             metrics = rec.metrics or {}
             row.extend("" if key not in metrics else f"{metrics[key]:.17g}" for key in keys)

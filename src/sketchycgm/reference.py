@@ -7,10 +7,11 @@ guarded to small problems: its role is oracle, not production path. It
 runs the spec as given, to spec.max_iters; a spec with the poisson loss
 carries z by the sketched solver's recurrence instead of re-measuring the
 dense iterate. With spectral_mode="lanczos" it calls the same seeded
-linear minimization oracle as the sketched solver, so both produce
-identical direction sequences; spectral_mode="dense" swaps in full
-factorizations for runs that must reach very small gaps without
-iterative-solver stalls. Either way the extreme pair becomes a vertex
+linear minimization oracle as the sketched solver, warm-started the same
+way from its own previous vertex, so both produce the same direction
+sequences up to the rounding of their iterates; spectral_mode="dense"
+swaps in full factorizations for runs that must reach very small gaps
+without iterative-solver stalls. Either way the extreme pair becomes a vertex
 through the one shared ``solver.vertex`` routine.
 
 Metrics: effective rank of a spectrum, phase-aligned relative error for
@@ -128,8 +129,11 @@ def dense_adjoint(op, z: np.ndarray) -> np.ndarray:
     return G
 
 
-def _exact_direction(spec: ProblemSpec, grad: np.ndarray, t: int) -> Direction:
-    """Vertex from a full factorization, canonicalized like the iterative path."""
+def _exact_direction(spec: ProblemSpec, grad: np.ndarray, t: int, previous=None) -> Direction:
+    """Vertex from a full factorization, canonicalized like the iterative path.
+
+    A full factorization needs no start vector, so previous is ignored.
+    """
     G = dense_adjoint(spec.op, grad)
     if spec.template == "psd":
         w, P = np.linalg.eigh(0.5 * (G + G.conj().T))

@@ -7,7 +7,10 @@ factorization is recovered on demand: two-sided under the schatten1
 template, the psd Nystrom sketch under the psd template. Each iteration
 costs one extreme singular pair (schatten1 template) or one extreme
 eigenpair (psd template) of the implicit gradient matrix, plus O((m+n)r)
-sketch work.
+sketch work. The oracle warm-starts its Krylov iteration from the previous
+iteration's vertex, which the loop still holds, so this stores nothing
+new; each record carries the number of operator products its oracle
+call spent.
 
 Stopping uses the duality gap of the linear minimization step, evaluated
 before the update, so a converged iterate is returned untouched. It is
@@ -34,7 +37,7 @@ same loop and oracle while carrying the full matrix instead.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,17 +133,22 @@ class IterationRecord:
     gap: float
     objective: float
     wall_ms: float = 0.0
+    lmo_products: int = 0
     metrics: dict | None = None
 
 
 @dataclass(frozen=True)
 class Direction:
-    """Vertex weight * u v^H (v is u for psd), left = weight * u, and its value Re<vertex, G>."""
+    """Vertex weight * u v^H (v is u for psd), left = weight * u, and its value Re<vertex, G>.
+
+    products counts the operator products the oracle spent to find it.
+    """
 
     u: np.ndarray
     v: np.ndarray
     weight: float
     value: float
+    products: int = 0
 
     @property
     def left(self) -> np.ndarray:
@@ -188,24 +196,33 @@ def vertex(spec: ProblemSpec, u=None, v=None, rho: float = 0.0) -> Direction:
     return Direction(u, u if psd else v, weight, weight * rho)
 
 
-def update_direction(spec: ProblemSpec, grad, t: int) -> Direction:
+def update_direction(spec: ProblemSpec, grad, t: int,
+                     previous: Direction | None = None) -> Direction:
     """Linear minimization over the constraint set at gradient grad.
 
     The extreme pair comes from the seeded Krylov routines, with start seed
     (spec.spectral.seed, t) and residual tolerance spec.spectral.tol *
-    max(1, 1000 / (t + 2)), so the direction depends on (spec, grad, t) only.
+    max(1, 1000 / (t + 2)), warm-started from the previous vertex's v (which
+    is u for psd; schatten1's Krylov iteration runs on the n side). So the
+    direction depends on (spec, grad, t, previous) only; previous=None, or
+    the zero vertex, starts cold. The result's products counts the operator
+    products spent, also when the gradient turns out to be zero.
     """
     G = ImplicitGradientMatrix(spec.op, grad)
     seed = (spec.spectral.seed, t)
     tol = spec.spectral.tol * max(1.0, _TOL_RAMP / (t + 2))
+    # the Krylov iteration runs on the n side, where v lives; v is u for psd
+    warm = None if previous is None else previous.v
     try:
         if spec.template == "psd":
-            rho, u = min_eig(G, spec.spectral, start_seed=seed, tol=tol)
-            return vertex(spec, u, rho=rho)
-        u, v, sigma = max_sing_vec(G, spec.spectral, start_seed=seed, tol=tol)
-        return vertex(spec, u, v, sigma)
+            rho, u = min_eig(G, spec.spectral, start_seed=seed, tol=tol, warm=warm)
+            vert = vertex(spec, u, rho=rho)
+        else:
+            u, v, sigma = max_sing_vec(G, spec.spectral, start_seed=seed, tol=tol, warm=warm)
+            vert = vertex(spec, u, v, sigma)
     except ZeroGradient:
-        return vertex(spec)
+        vert = vertex(spec)
+    return replace(vert, products=G.calls)
 
 
 def _step(spec: ProblemSpec, z: np.ndarray, vert: Direction, eta: float) -> np.ndarray:
@@ -225,7 +242,8 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
     """The conditional gradient iteration shared by solve and the dense oracle.
 
     From the measurement vector z each pass takes the loss gradient g, the
-    vertex direction(spec, g, t) and the gap Re<z, g> - vertex.value, then
+    vertex direction(spec, g, t, previous), where previous is the vertex of
+    pass t - 1 (None at t = 0), and the gap Re<z, g> - vertex.value, then
     releases g. Iterates with t % trace_every == 0, and always the terminal
     one, get an IterationRecord that observe(record) sees before the
     update. The run stops once the gap reaches spec.eps or t reaches
@@ -239,10 +257,11 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
     loss = spec.loss
     started = time.perf_counter()
     t = 0
+    vert = None
     with ledger.track("losses", nscalars(loss.b)):
         while True:
             grad = loss.gradient(z)
-            vert = direction(spec, grad, t)
+            vert = direction(spec, grad, t, vert)
             gap = float(np.real(np.vdot(z, grad))) - vert.value
             del grad
             terminal = gap <= spec.eps or t >= spec.max_iters
@@ -254,6 +273,7 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
                     gap=gap,
                     objective=float(loss.value(z)),
                     wall_ms=(time.perf_counter() - started) * 1e3,
+                    lmo_products=vert.products,
                 )
                 observe(record)
                 trace.append(record)
@@ -267,8 +287,10 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
     """Run until the duality gap falls to eps or max_iters updates elapse.
 
     Each iteration asks the linear minimization oracle for residual
-    tolerance spec.spectral.tol * max(1, 1000 / (t + 2)) (see
-    ``update_direction``), and each gap subtracts the value of its vertex.
+    tolerance spec.spectral.tol * max(1, 1000 / (t + 2)), warm-started from
+    the previous vertex (see ``update_direction``), and each gap subtracts
+    the value of its vertex. record.lmo_products is the number of operator
+    products that oracle call spent.
 
     Returns (factors, trace): the rank-r reconstruction from the sketch and
     the list of IterationRecord. Records are kept every trace_every

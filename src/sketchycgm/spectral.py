@@ -16,6 +16,13 @@ cap scalars for a Krylov cap of cap, at most ``_KRYLOV_DIM`` = 48. Start
 vectors are drawn from a seeded generator so that independent runs
 reproduce identical direction sequences.
 
+A caller that holds an earlier answer may pass it as ``warm``: the first
+cycle then starts from warm/|warm| + ``_WARM_MIX`` q, normalized, where q
+is the seeded random unit vector. Successive conditional gradient
+gradients change little, so the previous vertex is close to the next
+extreme vector, and the random part keeps every eigenvector reachable. A
+missing or all-zero warm vector gives the cold start q itself.
+
 The basis is stored one contiguous row per Lanczos vector. After the
 three-term recurrence each step runs one classical Gram-Schmidt pass
 against the whole basis, as one product B conj(w) and one update
@@ -30,8 +37,9 @@ Every few steps a cycle checks convergence. The explicit residual, one
 extra product with the Hermitian matrix, is the only stopping test and is
 what a cycle reports. The free Ritz estimate, beta_J times the last
 component of the small Ritz vector, only decides whether a check is worth
-that product: a check runs it once the estimate is within ``_RITZ_GATE``
-of the tolerance.
+that product: a check runs it once the estimate itself meets the
+tolerance (``_RITZ_GATE`` = 1). With full reorthogonalization the two
+agree to roundoff, so a looser gate mostly buys residuals that then fail.
 """
 
 from __future__ import annotations
@@ -59,7 +67,9 @@ _KRYLOV_DIM = 48
 _DGKS_RATIO = 1 / np.sqrt(2)
 # A convergence check runs its explicit residual only when the free Ritz
 # estimate is within this factor of the tolerance.
-_RITZ_GATE = 10.0
+_RITZ_GATE = 1.0
+# Weight of the seeded random vector added to a warm start vector.
+_WARM_MIX = 0.25
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,10 @@ class SpectralConfig:
 
 
 class ImplicitGradientMatrix:
-    """The m-by-n matrix adjoint(z), applied through operator primitives."""
+    """The m-by-n matrix adjoint(z), applied through operator primitives.
+
+    ``calls`` counts the products (matvec and rmatvec) applied so far.
+    """
 
     def __init__(self, op, z):
         z = np.asarray(z)
@@ -86,11 +99,14 @@ class ImplicitGradientMatrix:
         self.g = z
         self.shape = (op.m, op.n)
         self.iscomplex = np.issubdtype(op.field, np.complexfloating) or np.iscomplexobj(z)
+        self.calls = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        self.calls += 1
         return self.op.right_apply_adjoint(self.g, v)
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        self.calls += 1
         # rows of the conjugate transpose are conjugated left actions
         out = self.op.left_apply_adjoint(self.g, u)
         return np.conj(out, out=out) if np.iscomplexobj(out) else out
@@ -117,11 +133,17 @@ def _as_linop(G):
     return G
 
 
-def _start_vector(size: int, iscomplex: bool, seed) -> np.ndarray:
+def _start_vector(size: int, iscomplex: bool, seed, warm=None) -> np.ndarray:
+    """Seeded random unit vector q, or normalize(warm/|warm| + _WARM_MIX q)."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(size)
     if iscomplex:
         v = v + 1j * rng.standard_normal(size)
+    v /= np.linalg.norm(v)
+    scale = 0.0 if warm is None else np.linalg.norm(warm)
+    if scale == 0.0:
+        return v
+    v = warm / scale + _WARM_MIX * v
     return v / np.linalg.norm(v)
 
 
@@ -148,7 +170,7 @@ class _NegatedGram:
         return -self.G.rmatvec(self.G.matvec(v))
 
 
-def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
+def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None, warm=None):
     """Top singular triple (u, v, sigma) of an implicit matrix.
 
     Parameters
@@ -157,6 +179,8 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None
     cfg : SpectralConfig, residual tolerance and iteration budget
     start_seed : overrides cfg.seed for the start vector draw
     tol : overrides cfg.tol as the residual tolerance
+    warm : an n-vector near the wanted right singular vector v, such as an
+        earlier answer's v, mixed into the start vector (see ``min_eig``)
 
     v is the bottom eigenvector of -G* G from ``min_eig``, whose residual
     bound ``|G* G v - sigma^2 v| <= tol * sigma^2`` gives ``max(|G v - sigma
@@ -165,7 +189,7 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None
     numerically zero matrix and ``NoConvergence`` if the budget runs out.
     """
     G = _as_linop(G)
-    _, v = min_eig(_NegatedGram(G), cfg, start_seed, tol=tol)
+    _, v = min_eig(_NegatedGram(G), cfg, start_seed, tol=tol, warm=warm)
     p = G.matvec(v)
     sigma = np.linalg.norm(p)
     if sigma == 0.0:
@@ -175,7 +199,7 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None
     return u * ph, v * ph, float(sigma)
 
 
-def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
+def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None, warm=None):
     """Minimum eigenpair (rho, u) of an implicit Hermitian matrix.
 
     The caller guarantees G is Hermitian (matvec only is used). u satisfies
@@ -183,6 +207,9 @@ def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
     norm estimated from the extreme Ritz values, and its largest-magnitude
     entry is real positive. rho = Re(u* G u), its Rayleigh quotient, is read
     from G u in that residual. start_seed and tol override cfg.seed and cfg.tol.
+    A nonzero warm vector, such as an earlier u, starts the first cycle from
+    normalize(warm/|warm| + _WARM_MIX q) instead of the seeded random unit
+    vector q; None or an all-zero vector gives q itself.
     """
     cfg = cfg or SpectralConfig()
     tol = cfg.tol if tol is None else tol
@@ -195,7 +222,7 @@ def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None):
     g = getattr(G, "g", None)
     if g is not None and np.linalg.norm(g) == 0.0:
         raise ZeroGradient("gradient vector is identically zero")
-    q0 = _start_vector(n, G.iscomplex, cfg.seed if start_seed is None else start_seed)
+    q0 = _start_vector(n, G.iscomplex, cfg.seed if start_seed is None else start_seed, warm)
     width = 2 if G.iscomplex else 1
     used = 0
     while used < cfg.max_iters:

@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, reproducibility, config files, errors."""
 
+import csv
 import json
 import os
 import re
@@ -48,6 +49,11 @@ def test_solve_phase_writes_artifacts(tmp_path, capsys):
         assert json.load(fh) == summary
     header = open(os.path.join(out, "trace.csv")).readline().strip()
     assert header.startswith("t,eta,gap,objective,wall_ms")
+    with open(os.path.join(out, "trace.csv")) as fh:
+        rows = list(csv.reader(fh))
+    # the oracle's operator products per record follow the fixed prefix
+    assert rows[0][5] == "lmo_products"
+    assert all(int(row[5]) > 0 for row in rows[1:])
 
 
 def test_solve_is_reproducible(tmp_path, capsys):

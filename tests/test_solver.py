@@ -125,10 +125,12 @@ def test_duality_gap_formula():
     psd, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=6)
     for prob in (psd, spiked_completion_problem(4, m=9, n=6, max_iters=6)):
         checked = []
+        previous = [None]
 
         def formula(record, state):
             grad = prob.loss.gradient(state.z)
-            d = update_direction(prob, grad, record.t)
+            # the oracle warm-starts from the vertex of the previous iteration
+            d = previous[0] = update_direction(prob, grad, record.t, previous[0])
             h = prob.op.apply_rank_one(d.left, d.v)
             expected = float(np.real(np.vdot(state.z - h, grad)))
             scale = abs(np.vdot(state.z, grad)) + abs(np.vdot(h, grad))
@@ -197,7 +199,7 @@ def test_solver_loop_invariants_generic_instance():
     """
     prob = spiked_completion_problem(6, m=10, n=8, spike=0.0, alpha=1.5, max_iters=40)
     op = prob.op
-    shadow = {"X": np.zeros((op.m, op.n))}
+    shadow = {"X": np.zeros((op.m, op.n)), "previous": None}
     worst = {"z": 0.0, "Y": 0.0, "W": 0.0}
 
     def cb(record, state):
@@ -207,7 +209,8 @@ def test_solver_loop_invariants_generic_instance():
         worst["Y"] = max(worst["Y"], np.abs(sk.Y - X @ sk.Omega).max())
         worst["W"] = max(worst["W"], np.abs(sk.W - sk.Psi @ X).max())
         # replay the deterministic update the solver is about to take
-        d = update_direction(prob, prob.loss.gradient(state.z), record.t)
+        d = update_direction(prob, prob.loss.gradient(state.z), record.t, shadow["previous"])
+        shadow["previous"] = d
         eta = learning_rate(record.t, prob.variant)
         shadow["X"] = (1 - eta) * X + eta * np.outer(d.left, np.conj(d.v))
 
@@ -318,29 +321,37 @@ def test_solve_charges_every_tag_through_add(monkeypatch, template):
     assert tags == {"solver", "spectral", "sketch", "losses", "operators"}
 
 
-def _record_lmo_tols(monkeypatch) -> list:
-    """(t, tol) of every oracle call the solver makes through its module globals."""
-    asked = []
+def _record_lmo_calls(monkeypatch, strip_warm=False) -> list:
+    """(t, tol, warm, answer) of every oracle call the solver makes through its
+    module globals; strip_warm starts every call cold."""
+    calls = []
     for name in ("min_eig", "max_sing_vec"):
         routine = getattr(sketchycgm.solver, name)
 
-        def recording(G, cfg, start_seed, tol, routine=routine):
-            asked.append((start_seed[1], tol))
-            return routine(G, cfg, start_seed=start_seed, tol=tol)
+        def recording(G, cfg, start_seed, tol, warm, routine=routine):
+            out = routine(G, cfg, start_seed=start_seed, tol=tol,
+                          warm=None if strip_warm else warm)
+            calls.append((start_seed[1], tol, None if warm is None else warm.copy(), out))
+            return out
 
         monkeypatch.setattr(sketchycgm.solver, name, recording)
-    return asked
+    return calls
+
+
+def _tols(calls) -> list:
+    return [(t, tol) for t, tol, _, _ in calls]
 
 
 @pytest.mark.parametrize("template", ["psd", "schatten1"])
 def test_lmo_tolerance_follows_the_schedule(monkeypatch, template):
     prob = replace(_generated_problem(template), eps=1e-300, max_iters=12)
-    asked = _record_lmo_tols(monkeypatch)
+    calls = _record_lmo_calls(monkeypatch)
     solve(prob)
     # far enough out that the schedule sits at its floor
     grad = prob.loss.gradient(np.zeros(prob.op.d))
     for t in (996, 997, 998, 999, 5000):
         update_direction(prob, grad, t)
+    asked = _tols(calls)
     ts = [t for t, _ in asked]
     assert ts == list(range(13)) + [996, 997, 998, 999, 5000]
     tol = prob.spectral.tol
@@ -353,12 +364,95 @@ def test_lmo_tolerance_follows_the_schedule(monkeypatch, template):
 @pytest.mark.parametrize("template", ["psd", "schatten1"])
 def test_dense_oracle_asks_for_the_same_tolerances(monkeypatch, template):
     prob = replace(_generated_problem(template), eps=1e-300, max_iters=12)
-    asked = _record_lmo_tols(monkeypatch)
+    calls = _record_lmo_calls(monkeypatch)
     solve(prob)
-    sketched = list(asked)
-    asked.clear()
+    sketched = _tols(calls)
+    calls.clear()
     cgm_dense_solve(prob, spectral_mode="lanczos")
-    assert asked == sketched
+    assert _tols(calls) == sketched
+
+
+def _warm_instance(template, loss_kind="gauss"):
+    """An n = 64 phase instance (psd) or a spiked completion one (schatten1)."""
+    if template == "psd":
+        return gen_phase_problem(
+            SyntheticPhaseSpec(n=64, views=6, noise_kind="none", seed=0),
+            loss_kind=loss_kind, eps=1e-300, max_iters=15,
+        )[0]
+    return spiked_completion_problem(7, m=12, n=9, eps=1e-300, max_iters=15)
+
+
+@pytest.mark.parametrize(
+    "template, loss_kind",
+    [("psd", "gauss"), ("psd", "poisson"), ("schatten1", "gauss")],
+    ids=["psd", "psd-poisson", "schatten1"],
+)
+def test_oracle_starts_from_the_previous_vertex(monkeypatch, template, loss_kind):
+    prob = _warm_instance(template, loss_kind)
+    calls = _record_lmo_calls(monkeypatch)
+    solve(prob)
+    sketched = list(calls)
+    calls.clear()
+    cgm_dense_solve(prob, spectral_mode="lanczos")
+    assert [c[0] for c in sketched] == [c[0] for c in calls] == list(range(16))
+    for run in (sketched, calls):
+        assert run[0][2] is None
+        # the warm vector at t is the vertex of t - 1, bit for bit: its u
+        # (psd, zero at the zero vertex) or its v (schatten1)
+        for (*_, out), (_, _, warm, _) in zip(run, run[1:]):
+            if template == "psd":
+                rho, u = out
+                expected = np.zeros_like(u) if rho > 0 else u
+            else:
+                expected = out[1]
+            np.testing.assert_array_equal(warm, expected)
+    for (_, _, warm, _), (_, _, dense_warm, _) in zip(sketched[1:], calls[1:]):
+        if loss_kind == "poisson":
+            # both runs carry z by the same recurrence, so the whole path agrees
+            np.testing.assert_array_equal(warm, dense_warm)
+        else:
+            # the dense oracle re-measures z from its matrix, a roundoff apart
+            np.testing.assert_allclose(warm, dense_warm, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_same_seeds_give_the_same_trace(template):
+    # wall_ms measures the machine, not the run, so it is left out
+    a, b = (
+        [repr(replace(rec, wall_ms=0.0)) for rec in solve(_warm_instance(template))[1]]
+        for _ in range(2)
+    )
+    assert a == b
+
+
+def test_warm_start_spends_fewer_products(monkeypatch):
+    prob = _warm_instance("psd")
+    warm = sum(rec.lmo_products for rec in solve(prob)[1])
+    _record_lmo_calls(monkeypatch, strip_warm=True)
+    cold = sum(rec.lmo_products for rec in solve(prob)[1])
+    assert 0 < warm < cold
+
+
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_lmo_products_count_the_operator_adjoints(template):
+    prob = _warm_instance(template)
+    op = prob.op
+    adjoints = [0]
+    for name in ("left_apply_adjoint", "right_apply_adjoint"):
+        primitive = getattr(op, name)
+
+        def counting(*args, primitive=primitive):
+            adjoints[0] += 1
+            return primitive(*args)
+
+        setattr(op, name, counting)
+    seen = []
+    _, trace = solve(prob, callback=lambda record, state: seen.append(adjoints[0]))
+    # only the oracle applies an adjoint inside solve
+    assert [rec.lmo_products for rec in trace] == list(np.diff(seen, prepend=0))
+    assert all(rec.lmo_products > 0 for rec in trace)
+    _, dense_trace = cgm_dense_solve(prob, spectral_mode="dense")
+    assert [rec.lmo_products for rec in dense_trace] == [0] * 16
 
 
 @pytest.mark.parametrize(
@@ -401,10 +495,10 @@ def test_lmo_failure_keeps_partial_result(monkeypatch):
     ref_factors, ref_trace = solve(replace(prob, max_iters=3))
     lmo = sketchycgm.solver.max_sing_vec
 
-    def fail_at_t3(G, cfg, start_seed, tol):
+    def fail_at_t3(G, cfg, start_seed, tol, warm):
         if start_seed[1] == 3:
             raise NoConvergence("forced at t=3")
-        return lmo(G, cfg, start_seed=start_seed, tol=tol)
+        return lmo(G, cfg, start_seed=start_seed, tol=tol, warm=warm)
 
     monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
     before = ledger.live()
@@ -443,10 +537,10 @@ def test_lmo_failure_on_degenerate_sketch_keeps_trace(monkeypatch):
     prob = spiked_completion_problem(14, m=8, n=6, eps=1e-300, max_iters=10)
     lmo = sketchycgm.solver.max_sing_vec
 
-    def fail_at_t3(G, cfg, start_seed, tol):
+    def fail_at_t3(G, cfg, start_seed, tol, warm):
         if start_seed[1] == 3:
             raise NoConvergence("forced at t=3")
-        return lmo(G, cfg, start_seed=start_seed, tol=tol)
+        return lmo(G, cfg, start_seed=start_seed, tol=tol, warm=warm)
 
     def collapse_psi(record, state):
         if record.t == 2:
