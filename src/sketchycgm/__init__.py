@@ -23,7 +23,7 @@ from .errors import (
     ZeroGradient,
     ZeroTruth,
 )
-from .losses import LOSS_KINDS, Loss, POISSON_FLOOR
+from .losses import HUBER_DELTA, LOSS_KINDS, Loss, POISSON_FLOOR
 from .memory import AllocationLedger, ledger, nscalars
 from .operators import (
     CodedDiffractionOperator,
@@ -54,7 +54,7 @@ from .reference import (
     save_spectra_csv,
     test_error,
 )
-from .sketch import FactoredMatrix, Sketch, SketchDims
+from .sketch import FactoredMatrix, Sketch
 from .solver import (
     IterationRecord,
     ProblemSpec,
@@ -76,6 +76,7 @@ __all__ = [
     "EntrySamplingOperator",
     "EvalSpec",
     "FactoredMatrix",
+    "HUBER_DELTA",
     "ImaginaryLeakage",
     "ImplicitGradientMatrix",
     "IndexOutOfRange",
@@ -90,7 +91,6 @@ __all__ = [
     "ProblemSpec",
     "RankDeficientPsiQ",
     "Sketch",
-    "SketchDims",
     "SolverState",
     "SpectralConfig",
     "SyntheticCompletionSpec",

@@ -5,23 +5,25 @@ fixed normalization (1/d for completion-style objectives, 1 for
 phase-retrieval-style objectives):
 
     gauss      0.5 * (z - b)^2
-    huber      quadratic within +-delta of b, linear outside
+    huber      quadratic within +-HUBER_DELTA of b, linear outside
     logistic   log(1 + exp(-b z)),  labels b in {-1, +1}
     poisson    z - b log z,         counts b >= 0, z clamped below
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonFiniteInput
 
-__all__ = ["Loss", "LOSS_KINDS", "POISSON_FLOOR"]
+__all__ = ["Loss", "LOSS_KINDS", "HUBER_DELTA", "POISSON_FLOOR"]
 
 LOSS_KINDS = ("gauss", "huber", "logistic", "poisson")
 
+#: half-width of the quadratic zone of the huber loss
+HUBER_DELTA = 1.0
 #: lower clamp applied to the argument of the poisson loss
 POISSON_FLOOR = 1e-12
 
@@ -31,7 +33,6 @@ class Loss:
     kind: str
     b: np.ndarray
     normalization: float = 1.0
-    huber_delta: float = 1.0
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -47,8 +48,6 @@ class Loss:
             raise DomainError("poisson counts must be nonnegative")
         if not self.normalization > 0:
             raise ValueError("normalization must be positive")
-        if not self.huber_delta > 0:
-            raise ValueError("huber_delta must be positive")
         self.b = b
 
     @property
@@ -71,7 +70,7 @@ class Loss:
         elif self.kind == "huber":
             e = z - b
             a = np.abs(e)
-            dl = self.huber_delta
+            dl = HUBER_DELTA
             total = np.sum(np.where(a <= dl, 0.5 * e * e, dl * (a - 0.5 * dl)))
         elif self.kind == "logistic":
             total = np.sum(np.logaddexp(0.0, -b * z))
@@ -86,8 +85,7 @@ class Loss:
         if self.kind == "gauss":
             g = z - b
         elif self.kind == "huber":
-            dl = self.huber_delta
-            g = np.clip(z - b, -dl, dl)
+            g = np.clip(z - b, -HUBER_DELTA, HUBER_DELTA)
         elif self.kind == "logistic":
             with np.errstate(over="ignore"):
                 g = -b / (1.0 + np.exp(b * z))

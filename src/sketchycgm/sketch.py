@@ -32,35 +32,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput, RankDeficientPsiQ
 from .memory import ledger, nscalars
 
-__all__ = ["SketchDims", "Sketch", "FactoredMatrix"]
+__all__ = ["Sketch", "FactoredMatrix"]
 
 _PSIQ_RCOND = 1e-12
-
-
-@dataclass(frozen=True)
-class SketchDims:
-    """Test-matrix shapes of the two-sided rank-r sketch of an m-by-n matrix.
-
-    The psd sketch has no co-range and min(k + ell, n) range columns.
-    """
-
-    m: int
-    n: int
-    r: int
-
-    def __post_init__(self):
-        if min(self.m, self.n) < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if not 1 <= self.r <= min(self.m, self.n):
-            raise ValueError("rank must satisfy 1 <= r <= min(m, n)")
-
-    @property
-    def k(self) -> int:
-        return 2 * self.r + 1
-
-    @property
-    def ell(self) -> int:
-        return 4 * self.r + 3
 
 
 def _normalize_field(field) -> np.dtype:
@@ -161,16 +135,21 @@ def _read_matrix_csv(path) -> np.ndarray:
 class Sketch:
     """Randomized sketch with rank-one update and reconstruction.
 
-    Two-sided by default; ``psd=True`` builds the Nystrom sketch of a psd
-    matrix, which needs m = n. ``scalars`` counts the stored test matrices
-    and shadows; a solve charges it while it holds the sketch.
+    Shadows an m-by-n matrix at target rank r, all three kept as
+    attributes. Two-sided by default; ``psd=True`` builds the Nystrom sketch
+    of a psd matrix, which needs m = n. ``scalars`` counts the stored test
+    matrices and shadows; a solve charges it while it holds the sketch.
     """
 
     def __init__(self, m: int, n: int, r: int, field="real", seed=0, psd: bool = False):
-        self.dims = SketchDims(m, n, r)
+        if min(m, n) < 1:
+            raise ValueError("matrix dimensions must be positive")
+        if not 1 <= r <= min(m, n):
+            raise ValueError("rank must satisfy 1 <= r <= min(m, n)")
+        self.m, self.n, self.r = m, n, r
         self.field = _normalize_field(field)
         self.psd = psd
-        k, ell = self.dims.k, self.dims.ell
+        k, ell = 2 * r + 1, 4 * r + 3
         if psd:
             if m != n:
                 raise DimensionMismatch("a psd sketch needs a square matrix")
@@ -190,14 +169,6 @@ class Sketch:
         self.Y = np.zeros((m, k), dtype=self.field)
         self.W = np.zeros((ell, n), dtype=self.field)
         self.scalars = nscalars(self.Omega, self.Psi, self.Y, self.W)
-
-    @property
-    def m(self) -> int:
-        return self.dims.m
-
-    @property
-    def n(self) -> int:
-        return self.dims.n
 
     def _check_pair(self, u, v):
         u = np.asarray(u)
@@ -229,22 +200,21 @@ class Sketch:
         self.linear_update(1.0 - eta, eta, u, v)
 
     def reconstruct(self) -> FactoredMatrix:
-        """Best rank-r factorization consistent with the sketch, r = dims.r.
+        """Best rank-r factorization consistent with the sketch.
 
         A psd sketch returns its psd Nystrom approximation: U and V coincide
         (columns are eigenvectors) and S holds the eigenvalues, zero-padded
         to r columns when the sketch has lower rank.
         """
-        dims = self.dims
-        r = dims.r
+        m, n, r = self.m, self.n, self.r
         if np.linalg.norm(self.Y) == 0.0 and np.linalg.norm(self.W) == 0.0:
-            zero_u = np.zeros((dims.m, r), dtype=self.field)
-            zero_v = zero_u if self.psd else np.zeros((dims.n, r), dtype=self.field)
+            zero_u = np.zeros((m, r), dtype=self.field)
+            zero_v = zero_u if self.psd else np.zeros((n, r), dtype=self.field)
             return FactoredMatrix(zero_u, np.zeros(r), zero_v)
         if self.psd:
             return self._nystrom()
         width = 2 if self.field == np.complex128 else 1
-        m, n, k, ell = dims.m, dims.n, dims.k, dims.ell
+        k, ell = self.Omega.shape[1], self.Psi.shape[0]
         # an upper bound on the arrays live at once: the QR of Y (two m x k),
         # the k x n solve B beside U* W and then beside Vh, the small factors
         # of Psi Q and B, and the rank-r result
@@ -266,7 +236,7 @@ class Sketch:
         return FactoredMatrix(U, S, V)
 
     def _nystrom(self) -> FactoredMatrix:
-        n, r = self.dims.n, self.dims.r
+        n, r = self.n, self.r
         k = self.Omega.shape[1]
         width = 2 if self.field == np.complex128 else 1
         # an upper bound on the arrays live at once: Y_nu beside the conjugate
@@ -294,8 +264,7 @@ class Sketch:
         return FactoredMatrix(out_u, out_s, out_u)
 
     def __repr__(self) -> str:
-        d = self.dims
         return (
-            f"Sketch(m={d.m}, n={d.n}, r={d.r}, k={self.Omega.shape[1]}, "
+            f"Sketch(m={self.m}, n={self.n}, r={self.r}, k={self.Omega.shape[1]}, "
             f"ell={self.Psi.shape[0]}, field={self.field.name}, psd={self.psd})"
         )

@@ -200,25 +200,29 @@ def update_direction(spec: ProblemSpec, grad, t: int,
                      previous: Direction | None = None) -> Direction:
     """Linear minimization over the constraint set at gradient grad.
 
-    The extreme pair comes from the seeded Krylov routines, with start seed
-    (spec.spectral.seed, t) and residual tolerance spec.spectral.tol *
-    max(1, 1000 / (t + 2)), warm-started from the previous vertex's v (which
-    is u for psd; schatten1's Krylov iteration runs on the n side). So the
-    direction depends on (spec, grad, t, previous) only; previous=None, or
-    the zero vertex, starts cold. The result's products counts the operator
-    products spent, also when the gradient turns out to be zero.
+    An all-zero gradient gives the zero vertex, which is then optimal, at
+    no operator product. Otherwise the extreme pair comes from the seeded
+    Krylov routines, called with tolerance spec.spectral.tol * max(1, 1000
+    / (t + 2)), seed (spec.spectral.seed, t) and spec.spectral.max_iters,
+    and warm-started from the previous vertex's v (u for psd; schatten1's
+    Krylov iteration runs on the n side). So the direction depends on
+    (spec, grad, t, previous) only; previous=None, or the zero vertex,
+    starts cold. The result's products counts the operator products spent.
     """
-    G = ImplicitGradientMatrix(spec.op, grad)
-    seed = (spec.spectral.seed, t)
-    tol = spec.spectral.tol * max(1.0, _TOL_RAMP / (t + 2))
+    G = ImplicitGradientMatrix(spec.op, grad)  # first, so a misshapen grad still raises
+    if not np.any(grad):
+        return vertex(spec)
+    cfg = spec.spectral
+    tol = cfg.tol * max(1.0, _TOL_RAMP / (t + 2))
+    seed = (cfg.seed, t)
     # the Krylov iteration runs on the n side, where v lives; v is u for psd
     warm = None if previous is None else previous.v
     try:
         if spec.template == "psd":
-            rho, u = min_eig(G, spec.spectral, start_seed=seed, tol=tol, warm=warm)
+            rho, u = min_eig(G, tol=tol, seed=seed, max_iters=cfg.max_iters, warm=warm)
             vert = vertex(spec, u, rho=rho)
         else:
-            u, v, sigma = max_sing_vec(G, spec.spectral, start_seed=seed, tol=tol, warm=warm)
+            u, v, sigma = max_sing_vec(G, tol=tol, seed=seed, max_iters=cfg.max_iters, warm=warm)
             vert = vertex(spec, u, v, sigma)
     except ZeroGradient:
         vert = vertex(spec)

@@ -163,33 +163,25 @@ class _NegatedGram:
         self.G = G
         self.shape = (G.shape[1], G.shape[1])
         self.iscomplex = G.iscomplex
-        # forwarded so that min_eig's zero-gradient check still fires
-        self.g = getattr(G, "g", None)
 
     def matvec(self, v):
         return -self.G.rmatvec(self.G.matvec(v))
 
 
-def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None, warm=None):
+def max_sing_vec(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
+                 max_iters=SpectralConfig.max_iters, warm=None):
     """Top singular triple (u, v, sigma) of an implicit matrix.
 
-    Parameters
-    ----------
-    G : object with shape, matvec, rmatvec, iscomplex (or a dense ndarray)
-    cfg : SpectralConfig, residual tolerance and iteration budget
-    start_seed : overrides cfg.seed for the start vector draw
-    tol : overrides cfg.tol as the residual tolerance
-    warm : an n-vector near the wanted right singular vector v, such as an
-        earlier answer's v, mixed into the start vector (see ``min_eig``)
-
-    v is the bottom eigenvector of -G* G from ``min_eig``, whose residual
+    G has shape, matvec, rmatvec and iscomplex, or is a dense ndarray. tol,
+    seed, max_iters and warm (an n-vector near v, such as an earlier v) go
+    to ``min_eig`` on -G* G, whose bottom eigenvector is v. Its residual
     bound ``|G* G v - sigma^2 v| <= tol * sigma^2`` gives ``max(|G v - sigma
     u|, |G* u - sigma v|) <= tol * sigma`` for u = G v / sigma. u's
-    largest-magnitude entry is real positive. Raises ``ZeroGradient`` on a
-    numerically zero matrix and ``NoConvergence`` if the budget runs out.
+    largest-magnitude entry is real positive. Raises ``ZeroGradient`` when
+    sigma = 0 and ``NoConvergence`` if the budget runs out.
     """
     G = _as_linop(G)
-    _, v = min_eig(_NegatedGram(G), cfg, start_seed, tol=tol, warm=warm)
+    _, v = min_eig(_NegatedGram(G), tol, seed, max_iters, warm)
     p = G.matvec(v)
     sigma = np.linalg.norm(p)
     if sigma == 0.0:
@@ -199,41 +191,40 @@ def max_sing_vec(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None
     return u * ph, v * ph, float(sigma)
 
 
-def min_eig(G, cfg: SpectralConfig | None = None, start_seed=None, tol=None, warm=None):
+def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
+            max_iters=SpectralConfig.max_iters, warm=None):
     """Minimum eigenpair (rho, u) of an implicit Hermitian matrix.
 
-    The caller guarantees G is Hermitian (matvec only is used). u satisfies
-    ``|G u - lam u| <= tol * norm_estimate`` for its Ritz value lam, with the
-    norm estimated from the extreme Ritz values, and its largest-magnitude
-    entry is real positive. rho = Re(u* G u), its Rayleigh quotient, is read
-    from G u in that residual. start_seed and tol override cfg.seed and cfg.tol.
-    A nonzero warm vector, such as an earlier u, starts the first cycle from
-    normalize(warm/|warm| + _WARM_MIX q) instead of the seeded random unit
-    vector q; None or an all-zero vector gives q itself.
+    The caller guarantees G is Hermitian (matvec only is used). Within
+    max_iters Lanczos steps, u satisfies ``|G u - lam u| <= tol *
+    norm_estimate`` for its Ritz value lam, with the norm estimated from the
+    extreme Ritz values, and its largest-magnitude entry is real positive.
+    rho = Re(u* G u), its Rayleigh quotient, is read from G u in that
+    residual. A nonzero warm vector, such as an earlier u, starts the first
+    cycle from normalize(warm/|warm| + _WARM_MIX q) instead of the random
+    unit vector q drawn from seed; None or an all-zero vector gives q
+    itself. The defaults are ``SpectralConfig``'s.
     """
-    cfg = cfg or SpectralConfig()
-    tol = cfg.tol if tol is None else tol
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     G = _as_linop(G)
     n, n2 = G.shape
     if n != n2:
         raise DimensionMismatch("min_eig needs a square matrix")
-    g = getattr(G, "g", None)
-    if g is not None and np.linalg.norm(g) == 0.0:
-        raise ZeroGradient("gradient vector is identically zero")
-    q0 = _start_vector(n, G.iscomplex, cfg.seed if start_seed is None else start_seed, warm)
+    q0 = _start_vector(n, G.iscomplex, seed, warm)
     width = 2 if G.iscomplex else 1
     used = 0
-    while used < cfg.max_iters:
-        cap = int(min(_KRYLOV_DIM, cfg.max_iters - used, n))
+    while used < max_iters:
+        cap = int(min(_KRYLOV_DIM, max_iters - used, n))
         with ledger.track("spectral", width * n * cap + 4 * cap):
             u, rho, resid, norm_est, steps, exact = _lanczos_cycle(G, q0, cap, tol)
         used += steps
         if exact or resid <= tol * max(norm_est, 1e-300):
             return rho, u * _canonical_phase(u)
         q0 = u / np.linalg.norm(u)
-    raise NoConvergence(f"minimum eigenpair not resolved in {cfg.max_iters} Lanczos steps")
+    raise NoConvergence(f"minimum eigenpair not resolved in {max_iters} Lanczos steps")
 
 
 def _gram_schmidt_pass(B, w):

@@ -30,7 +30,7 @@ def test_gauss_value_by_hand():
 
 
 def test_huber_value_by_hand():
-    loss = Loss("huber", [3.0, 1.0], huber_delta=1.0)
+    loss = Loss("huber", [3.0, 1.0])
     # r = [-2, 0.5]: linear branch 1*(2 - 0.5), quadratic branch 0.5*0.25
     assert loss.value([1.0, 1.5]) == pytest.approx(1.5 + 0.125, abs=1e-15)
     np.testing.assert_allclose(loss.gradient([1.0, 1.5]), [-1.0, 0.5])

@@ -28,10 +28,14 @@ def _rand_pair(rng, m, n, complex_field):
 
 def test_sketch_dims():
     sk = Sketch(10, 7, 2, field="real", seed=0)
-    assert sk.Omega.shape == (7, sk.dims.k)
-    assert sk.Psi.shape == (sk.dims.ell, 10)
-    assert sk.dims.k == 2 * 2 + 1
-    assert sk.dims.ell == 4 * 2 + 3
+    assert (sk.m, sk.n, sk.r) == (10, 7, 2)
+    assert sk.Omega.shape == (7, 2 * 2 + 1)
+    assert sk.Psi.shape == (4 * 2 + 3, 10)
+    with pytest.raises(ValueError, match="dimensions"):
+        Sketch(0, 7, 1)
+    for r in (0, 8):
+        with pytest.raises(ValueError, match="rank"):
+            Sketch(10, 7, r)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -149,7 +153,7 @@ def test_psd_sketch_holds_the_two_sided_storage(field):
     for psd in (False, True):
         sk = Sketch(64, 64, 2, field=field, seed=0, psd=psd)
         charges.append(sk.scalars)
-        assert sk.Psi.size == sk.W.size == (0 if psd else 64 * sk.dims.ell)
+        assert sk.Psi.size == sk.W.size == (0 if psd else 64 * (4 * 2 + 3))
     width = 2 if field == "complex" else 1
     assert charges[0] == charges[1] == width * 2 * 64 * (6 * 2 + 4)
 
@@ -163,7 +167,7 @@ def test_rank_deficient_psiq_detected():
     sk = Sketch(6, 6, 2, field="real", seed=0)
     sk.linear_update(1.0, 1.0, np.ones(6), np.ones(6))
     # collapse Psi so Psi @ Q cannot be inverted against W
-    sk.Psi = np.outer(np.ones(sk.dims.ell), np.eye(6)[0])
+    sk.Psi = np.outer(np.ones(4 * 2 + 3), np.eye(6)[0])
     with pytest.raises(RankDeficientPsiQ):
         sk.reconstruct()
 

@@ -328,10 +328,9 @@ def _record_lmo_calls(monkeypatch, strip_warm=False) -> list:
     for name in ("min_eig", "max_sing_vec"):
         routine = getattr(sketchycgm.solver, name)
 
-        def recording(G, cfg, start_seed, tol, warm, routine=routine):
-            out = routine(G, cfg, start_seed=start_seed, tol=tol,
-                          warm=None if strip_warm else warm)
-            calls.append((start_seed[1], tol, None if warm is None else warm.copy(), out))
+        def recording(G, tol, seed, max_iters, warm, routine=routine):
+            out = routine(G, tol, seed, max_iters, None if strip_warm else warm)
+            calls.append((seed[1], tol, None if warm is None else warm.copy(), out))
             return out
 
         monkeypatch.setattr(sketchycgm.solver, name, recording)
@@ -455,6 +454,22 @@ def test_lmo_products_count_the_operator_adjoints(template):
     assert [rec.lmo_products for rec in dense_trace] == [0] * 16
 
 
+@pytest.mark.parametrize("template", ["psd", "schatten1"])
+def test_zero_gradient_gives_the_zero_vertex_without_the_oracle(monkeypatch, template):
+    prob = _generated_problem(template)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oracle ran on an all-zero gradient")
+
+    for name in ("min_eig", "max_sing_vec"):
+        monkeypatch.setattr(sketchycgm.solver, name, unreachable)
+    vert = update_direction(prob, np.zeros(prob.op.d), 0)
+    assert vert.products == 0
+    assert vert.weight == vert.value == 0.0
+    assert not np.any(vert.u) and not np.any(vert.v)
+    assert vert.u.shape == (prob.op.m,) and vert.v.shape == (prob.op.n,)
+
+
 @pytest.mark.parametrize(
     "template, seed",
     [pytest.param("psd", seed, id=str(seed)) for seed in range(3)]
@@ -495,10 +510,10 @@ def test_lmo_failure_keeps_partial_result(monkeypatch):
     ref_factors, ref_trace = solve(replace(prob, max_iters=3))
     lmo = sketchycgm.solver.max_sing_vec
 
-    def fail_at_t3(G, cfg, start_seed, tol, warm):
-        if start_seed[1] == 3:
+    def fail_at_t3(G, tol, seed, max_iters, warm):
+        if seed[1] == 3:
             raise NoConvergence("forced at t=3")
-        return lmo(G, cfg, start_seed=start_seed, tol=tol, warm=warm)
+        return lmo(G, tol, seed, max_iters, warm)
 
     monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", fail_at_t3)
     before = ledger.live()
@@ -537,10 +552,10 @@ def test_lmo_failure_on_degenerate_sketch_keeps_trace(monkeypatch):
     prob = spiked_completion_problem(14, m=8, n=6, eps=1e-300, max_iters=10)
     lmo = sketchycgm.solver.max_sing_vec
 
-    def fail_at_t3(G, cfg, start_seed, tol, warm):
-        if start_seed[1] == 3:
+    def fail_at_t3(G, tol, seed, max_iters, warm):
+        if seed[1] == 3:
             raise NoConvergence("forced at t=3")
-        return lmo(G, cfg, start_seed=start_seed, tol=tol, warm=warm)
+        return lmo(G, tol, seed, max_iters, warm)
 
     def collapse_psi(record, state):
         if record.t == 2:

@@ -51,7 +51,7 @@ class TestMaxSingVec:
     def test_matches_dense_svd_real(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((40, 30))
-        u, v, sigma = max_sing_vec(M, SpectralConfig(tol=1e-10))
+        u, v, sigma = max_sing_vec(M, tol=1e-10)
         U, s, Vh = np.linalg.svd(M)
         assert sigma == pytest.approx(s[0], rel=1e-10)
         assert _aligned(U[:, 0], u, 1e-7)
@@ -60,7 +60,7 @@ class TestMaxSingVec:
     def test_matches_dense_svd_complex(self):
         rng = np.random.default_rng(1)
         M = rng.standard_normal((25, 35)) + 1j * rng.standard_normal((25, 35))
-        u, v, sigma = max_sing_vec(M, SpectralConfig(tol=1e-10))
+        u, v, sigma = max_sing_vec(M, tol=1e-10)
         s = np.linalg.svd(M, compute_uv=False)
         assert sigma == pytest.approx(s[0], rel=1e-10)
         # residuals certify the pair without fixing a phase convention
@@ -69,7 +69,7 @@ class TestMaxSingVec:
 
     def test_diagonal_example(self):
         M = np.diag([1.0, 5.0, 3.0])
-        u, v, sigma = max_sing_vec(M, SpectralConfig(tol=1e-12))
+        u, v, sigma = max_sing_vec(M, tol=1e-12)
         assert sigma == pytest.approx(5.0, rel=1e-12)
         np.testing.assert_allclose(np.abs(u), [0, 1, 0], atol=1e-8)
 
@@ -77,7 +77,7 @@ class TestMaxSingVec:
         # largest-magnitude entry of u comes back real positive
         rng = np.random.default_rng(2)
         M = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
-        u, _, _ = max_sing_vec(M, SpectralConfig(tol=1e-10))
+        u, _, _ = max_sing_vec(M, tol=1e-10)
         top = u[np.argmax(np.abs(u))]
         assert abs(top.imag) <= 1e-10 * abs(top)
         assert top.real > 0
@@ -85,8 +85,8 @@ class TestMaxSingVec:
     def test_same_seed_same_output(self):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((20, 15))
-        out1 = max_sing_vec(M, SpectralConfig(tol=1e-10), start_seed=(4, 2))
-        out2 = max_sing_vec(M, SpectralConfig(tol=1e-10), start_seed=(4, 2))
+        out1 = max_sing_vec(M, tol=1e-10, seed=(4, 2))
+        out2 = max_sing_vec(M, tol=1e-10, seed=(4, 2))
         np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(out1[1], out2[1])
         assert out1[2] == out2[2]
@@ -98,8 +98,8 @@ class TestMaxSingVec:
         z = rng.standard_normal(op.d)
         G = np.zeros((15, 11))
         G[rows, cols] = z
-        u_i, v_i, s_i = max_sing_vec(ImplicitGradientMatrix(op, z), SpectralConfig(tol=1e-10))
-        u_d, v_d, s_d = max_sing_vec(G, SpectralConfig(tol=1e-10))
+        u_i, v_i, s_i = max_sing_vec(ImplicitGradientMatrix(op, z), tol=1e-10)
+        u_d, v_d, s_d = max_sing_vec(G, tol=1e-10)
         assert s_i == pytest.approx(s_d, rel=1e-10)
         assert _aligned(u_i, u_d, 1e-7)
 
@@ -107,7 +107,7 @@ class TestMaxSingVec:
         op = EntrySamplingOperator(4, 4, [0, 1], [0, 1])
         with pytest.raises(ZeroGradient):
             max_sing_vec(ImplicitGradientMatrix(op, np.zeros(2)))
-        # a dense matrix has no gradient vector to check: sigma = 0 decides
+        # sigma = 0 decides, for an implicit and a dense zero matrix alike
         with pytest.raises(ZeroGradient):
             max_sing_vec(np.zeros((5, 3)))
 
@@ -115,17 +115,24 @@ class TestMaxSingVec:
         rng = np.random.default_rng(5)
         M = rng.standard_normal((50, 50))
         with pytest.raises(NoConvergence):
-            max_sing_vec(M, SpectralConfig(tol=1e-14, max_iters=2))
+            max_sing_vec(M, tol=1e-14, max_iters=2)
 
     def test_krylov_cap_is_not_configurable(self):
         with pytest.raises(TypeError):
             SpectralConfig(krylov_dim=48)
+        # the oracle takes its settings as plain arguments, not as a config
+        H = np.eye(4)
+        for routine in (min_eig, max_sing_vec):
+            with pytest.raises(TypeError):
+                routine(H, cfg=SpectralConfig())
+            with pytest.raises(TypeError):
+                routine(H, start_seed=(0, 1))
 
     def test_residual_certificate(self):
         rng = np.random.default_rng(6)
         M = rng.standard_normal((30, 30))
         tol = 1e-9
-        u, v, sigma = max_sing_vec(M, SpectralConfig(tol=tol))
+        u, v, sigma = max_sing_vec(M, tol=tol)
         assert np.linalg.norm(M @ v - sigma * u) <= tol * sigma
         assert np.linalg.norm(M.T @ u - sigma * v) <= tol * sigma
 
@@ -133,7 +140,7 @@ class TestMaxSingVec:
     def test_residual_certificate_across_shapes(self, name):
         G, M = _certificate_case(name)
         tol = 1e-9
-        u, v, sigma = max_sing_vec(G, SpectralConfig(tol=tol))
+        u, v, sigma = max_sing_vec(G, tol=tol)
         assert sigma == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
         assert np.linalg.norm(M @ v - sigma * u) <= tol * sigma
         assert np.linalg.norm(M.conj().T @ u - sigma * v) <= tol * sigma
@@ -145,7 +152,7 @@ class TestMaxSingVec:
         if iscomplex:
             M = M + 1j * rng.standard_normal(shape)
         charges = recorded_charges(monkeypatch)
-        max_sing_vec(M, SpectralConfig(tol=1e-10))
+        max_sing_vec(M, tol=1e-10)
         n = shape[1]
         cap = min(sketchycgm.spectral._KRYLOV_DIM, n)
         width = 2 if iscomplex else 1
@@ -157,8 +164,8 @@ class TestMaxSingVec:
         # scaling the matrix scales sigma and leaves the vectors unchanged
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((10, 8))
-        u1, v1, s1 = max_sing_vec(M, SpectralConfig(tol=1e-10))
-        u2, v2, s2 = max_sing_vec(scale * M, SpectralConfig(tol=1e-10))
+        u1, v1, s1 = max_sing_vec(M, tol=1e-10)
+        u2, v2, s2 = max_sing_vec(scale * M, tol=1e-10)
         assert s2 == pytest.approx(scale * s1, rel=1e-7)
         assert _aligned(u1, u2, 1e-6)
 
@@ -168,7 +175,7 @@ class TestMinEig:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((25, 25))
         H = 0.5 * (A + A.T)
-        lam, u = min_eig(H, SpectralConfig(tol=1e-10))
+        lam, u = min_eig(H, tol=1e-10)
         w, Q = np.linalg.eigh(H)
         assert lam == pytest.approx(w[0], rel=1e-9, abs=1e-9)
         assert _aligned(Q[:, 0], u, 1e-6)
@@ -177,14 +184,14 @@ class TestMinEig:
         rng = np.random.default_rng(8)
         A = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
         H = 0.5 * (A + A.conj().T)
-        lam, u = min_eig(H, SpectralConfig(tol=1e-10))
+        lam, u = min_eig(H, tol=1e-10)
         w = np.linalg.eigvalsh(H)
         assert lam == pytest.approx(w[0], rel=1e-9)
         assert np.linalg.norm(H @ u - lam * u) <= 1e-8 * np.abs(w).max()
 
     def test_diagonal_example(self):
         H = np.diag([4.0, -2.0, 1.0])
-        lam, u = min_eig(H, SpectralConfig(tol=1e-12))
+        lam, u = min_eig(H, tol=1e-12)
         assert lam == pytest.approx(-2.0, rel=1e-12)
         np.testing.assert_allclose(np.abs(u), [0, 1, 0], atol=1e-8)
 
@@ -192,19 +199,16 @@ class TestMinEig:
         # bottom of a pd matrix is positive; the solver uses the sign to
         # decide whether the psd step direction is zero
         H = np.diag([1.0, 2.0, 3.0]) + 0.1
-        lam, _ = min_eig(H, SpectralConfig(tol=1e-10))
+        lam, _ = min_eig(H, tol=1e-10)
         assert lam > 0
 
     @pytest.mark.parametrize("routine", [min_eig, max_sing_vec], ids=["min_eig", "max_sing_vec"])
-    def test_tol_keyword_overrides_the_config(self, routine):
+    def test_nonpositive_settings_raise(self, routine):
         A = np.random.default_rng(11).standard_normal((30, 30))
-        H = A + A.T
-        want = routine(H, SpectralConfig(tol=1e-11))
-        got = routine(H, SpectralConfig(tol=1e-2), tol=1e-11)
-        for w, g in zip(want, got):
-            np.testing.assert_array_equal(w, g)
         with pytest.raises(ValueError, match="tol"):
-            routine(H, tol=0.0)
+            routine(A + A.T, tol=0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            routine(A + A.T, max_iters=0)
 
     def test_requires_square(self):
         rng = np.random.default_rng(9)
@@ -216,7 +220,7 @@ class TestMinEig:
         rng = np.random.default_rng(10)
         z = rng.standard_normal(op.d)
         G = ImplicitGradientMatrix(op, z)
-        lam, u = min_eig(G, SpectralConfig(tol=1e-9))
+        lam, u = min_eig(G, tol=1e-9)
         # adjoint of a real z under this family is Hermitian; check residual
         resid = G.matvec(u) - lam * u
         scale = max(abs(lam), np.linalg.norm(G.matvec(u)))
@@ -249,7 +253,7 @@ class TestReorthogonalization:
         H = -(A @ A.T)
         rows = _gram_schmidt_passes(monkeypatch)
         tol = 1e-10
-        lam, u = min_eig(H, SpectralConfig(tol=tol))
+        lam, u = min_eig(H, tol=tol)
         w = np.linalg.eigvalsh(H)
         assert lam == pytest.approx(w[0], rel=1e-10)
         assert np.linalg.norm(H @ u - lam * u) <= tol * np.abs(w).max()
@@ -258,7 +262,7 @@ class TestReorthogonalization:
     def test_one_pass_while_the_space_grows(self, monkeypatch):
         M = np.random.default_rng(13).standard_normal((400, 400))
         rows = _gram_schmidt_passes(monkeypatch)
-        min_eig(M + M.T, SpectralConfig(tol=1e-8))
+        min_eig(M + M.T, tol=1e-8)
         assert len(rows) > sketchycgm.spectral._KRYLOV_DIM
         assert _repeated_passes(rows) == 0
 
@@ -293,9 +297,9 @@ def _gate_case(name, hermitian):
     return ImplicitGradientMatrix(op, rng.standard_normal(op.d))
 
 
-def _counted(routine, G, cfg):
+def _counted(routine, G, tol):
     counted = CountingLinop(G)
-    return routine(counted, cfg), counted.calls
+    return routine(counted, tol=tol), counted.calls
 
 
 _GATE_NAMES = ("dense-real", "dense-complex", "entry-sampling", "coded-diffraction")
@@ -313,11 +317,10 @@ class TestRitzGate:
     @pytest.mark.parametrize("routine", [min_eig, max_sing_vec], ids=["min_eig", "max_sing_vec"])
     def test_gate_keeps_outputs_and_saves_matvecs(self, monkeypatch, routine, name):
         G = _gate_case(name, hermitian=routine is min_eig)
-        cfg = SpectralConfig(tol=1e-10)
-        gated, gated_calls = _counted(routine, G, cfg)
+        gated, gated_calls = _counted(routine, G, 1e-10)
         # the reference runs the explicit residual at every check
         monkeypatch.setattr(sketchycgm.spectral, "_RITZ_GATE", np.inf)
-        opened, opened_calls = _counted(routine, G, cfg)
+        opened, opened_calls = _counted(routine, G, 1e-10)
         assert len(gated) == len(opened)
         for a, b in zip(gated, opened):
             np.testing.assert_array_equal(a, b)
@@ -337,10 +340,9 @@ class TestWarmStart:
     def test_none_or_zero_warm_is_the_cold_start(self, routine, name):
         G = _gate_case(name, hermitian=routine is min_eig)
         n = G.shape[1]
-        cfg = SpectralConfig(tol=1e-10)
-        cold = routine(G, cfg, start_seed=(0, 3))
+        cold = routine(G, tol=1e-10, seed=(0, 3))
         for warm in (None, np.zeros(n), np.zeros(n, dtype=complex)):
-            got = routine(G, cfg, start_seed=(0, 3), warm=warm)
+            got = routine(G, tol=1e-10, seed=(0, 3), warm=warm)
             for a, b in zip(got, cold):
                 np.testing.assert_array_equal(a, b)
 
@@ -350,11 +352,10 @@ class TestWarmStart:
         H = A + A.T
         P = rng.standard_normal((120, 120))
         nearby = H + 1e-3 * (P + P.T)
-        cfg = SpectralConfig(tol=1e-10)
-        _, previous = min_eig(nearby, cfg)
-        _, cold_calls = _counted(min_eig, H, cfg)
+        _, previous = min_eig(nearby, tol=1e-10)
+        _, cold_calls = _counted(min_eig, H, 1e-10)
         counted = CountingLinop(H)
-        lam, u = min_eig(counted, cfg, warm=previous)
+        lam, u = min_eig(counted, tol=1e-10, warm=previous)
         assert counted.calls < cold_calls
         w = np.linalg.eigvalsh(H)
         assert lam == pytest.approx(w[0], rel=1e-9)
@@ -366,12 +367,12 @@ class TestWarmStart:
         H = np.diag(np.linspace(-1.0, 1.0, 60))
         warm = np.zeros(60)
         warm[1] = 1.0
-        lam, u = min_eig(H, SpectralConfig(tol=1e-10), warm=warm)
+        lam, u = min_eig(H, tol=1e-10, warm=warm)
         assert lam == pytest.approx(-1.0, rel=1e-12)
         assert abs(u[0]) == pytest.approx(1.0, rel=1e-9)
 
     def test_implicit_gradient_matrix_counts_its_products(self):
         G = _gate_case("coded-diffraction", hermitian=False)
         counted = CountingLinop(G)
-        max_sing_vec(counted, SpectralConfig(tol=1e-8))
+        max_sing_vec(counted, tol=1e-8)
         assert G.calls == counted.calls > 0
