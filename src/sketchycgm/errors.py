@@ -6,13 +6,7 @@ class DimensionMismatch(ValueError):
 
 
 class NonFiniteInput(ValueError):
-    """An input vector contains NaN or infinity.
-
-    When a non-finite iterate raises it inside the solver, ``result`` holds
-    (factors or None, trace so far), as for ``NoConvergence``.
-    """
-
-    result = None
+    """An input vector contains NaN or infinity."""
 
 
 class DomainError(ValueError):
@@ -40,12 +34,7 @@ class RankDeficientPsiQ(RuntimeError):
     is numerically rank-deficient, indicating a degenerate test-matrix draw.
     Only the two-sided sketch (schatten1 template) raises it; the psd
     Nystrom sketch has no co-range.
-
-    When raised inside the solver, ``result`` holds (None, trace so far): no
-    reconstruction exists, but the records made up to the failure survive.
     """
-
-    result = None
 
 
 class ZeroGradient(RuntimeError):
@@ -53,15 +42,7 @@ class ZeroGradient(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """Iteration budget exhausted before the requested tolerance was reached.
-
-    When raised by the solver this carries the partial result, so callers
-    still get the reconstruction.
-    """
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result
+    """Iteration budget exhausted before the requested tolerance was reached."""
 
 
 class TooLargeForDense(ValueError):

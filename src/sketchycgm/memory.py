@@ -80,10 +80,6 @@ class AllocationLedger:
         with self._lock:
             return dict(self._live)
 
-    def total_live(self) -> int:
-        with self._lock:
-            return sum(self._live.values())
-
     def reset(self) -> None:
         with self._lock:
             self._live.clear()

@@ -12,7 +12,9 @@ way from its own previous vertex, so both produce the same direction
 sequences up to the rounding of their iterates; spectral_mode="dense"
 swaps in full factorizations for runs that must reach very small gaps
 without iterative-solver stalls. Either way the extreme pair becomes a vertex
-through the one shared ``solver.vertex`` routine.
+through the one shared ``solver.vertex`` routine. Its callback has solve's
+shape, callback(record, X), with X the dense iterate: a live view, to copy
+before storing.
 
 Metrics: effective rank of a spectrum, phase-aligned relative error for
 phase retrieval, PSNR, and held-out entrywise test error evaluated from
@@ -34,7 +36,6 @@ from .spectral import _canonical_phase
 
 __all__ = [
     "DENSE_GUARD",
-    "DenseIterate",
     "EvalSpec",
     "measure_dense",
     "dense_adjoint",
@@ -48,15 +49,6 @@ __all__ = [
 ]
 
 DENSE_GUARD = 1_000_000  # max m*n the dense oracle will touch
-
-
-@dataclass
-class DenseIterate:
-    """Snapshot handed to solve callbacks; X is a live view, copy before storing."""
-
-    X: np.ndarray
-    t: int
-    gap: float
 
 
 @dataclass
@@ -154,9 +146,10 @@ def cgm_dense_solve(
     """Dense conditional gradient run; returns (X, trace).
 
     Stops when the duality gap reaches spec.eps or after spec.max_iters
-    updates. callback(DenseIterate) fires at every recorded iterate, before
-    the update is applied. Like solve, it charges the operator's storage
-    only while it runs.
+    updates. callback(record, X) fires at every recorded iterate, before
+    the update is applied, with the record that then joins the trace and X
+    the dense iterate, a live view to copy before storing. Like solve, it
+    charges the operator's storage only while it runs.
     """
     op = spec.op
     if op.m * op.n > DENSE_GUARD:
@@ -178,7 +171,7 @@ def cgm_dense_solve(
 
     def observe(record):
         if callback is not None:
-            callback(DenseIterate(X=X, t=record.t, gap=record.gap))
+            callback(record, X)
 
     direction = update_direction if spectral_mode == "lanczos" else _exact_direction
     trace = []
@@ -192,8 +185,8 @@ def record_spectra(spec: ProblemSpec, every=1):
     """Dense run that also collects the singular spectrum of each recorded iterate."""
     rows: list[tuple[int, np.ndarray]] = []
 
-    def grab(it: DenseIterate):
-        rows.append((it.t, np.linalg.svd(it.X, compute_uv=False)))
+    def grab(record, X):
+        rows.append((record.t, np.linalg.svd(X, compute_uv=False)))
 
     X, trace = cgm_dense_solve(spec, trace_every=every, callback=grab)
     return X, trace, rows

@@ -16,11 +16,11 @@ Stopping uses the duality gap of the linear minimization step, evaluated
 before the update, so a converged iterate is returned untouched. It is
 Re<z, g> minus the value <vertex, G> that the oracle returns with its
 vertex (Jaggi, ICML 2013), so only the update measures the vertex and the
-loop holds two d-vectors. The oracle is inexact on purpose: its residual
-tolerance starts loose and tightens like 1/(t+2) down to
-spec.spectral.tol, after Jaggi's approximate oracle. So the gap falls
-short of the exact gap by alpha times the amount by which the vertex's
-Rayleigh quotient misses the extreme eigenvalue (or singular value).
+loop holds two d-vectors. The oracle is inexact on purpose, after Jaggi's
+approximate oracle: ``update_direction`` states its tolerance schedule. So
+the gap falls short of the exact gap by alpha times the amount by which the
+vertex's Rayleigh quotient misses the extreme eigenvalue (or singular
+value).
 
 A problem with the poisson loss runs the poisson variant, which changes
 only the starting point (a strictly positive vector, keeping the
@@ -41,13 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NonFiniteInput,
-    RankDeficientPsiQ,
-    ZeroGradient,
-)
+from .errors import DimensionMismatch, RankDeficientPsiQ, ZeroGradient
 from .losses import Loss
 from .memory import ledger, nscalars
 from .operators import MeasurementOperator
@@ -290,9 +284,8 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
 def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
     """Run until the duality gap falls to eps or max_iters updates elapse.
 
-    Each iteration asks the linear minimization oracle for residual
-    tolerance spec.spectral.tol * max(1, 1000 / (t + 2)), warm-started from
-    the previous vertex (see ``update_direction``), and each gap subtracts
+    Each iteration asks the linear minimization oracle ``update_direction``
+    for a vertex, warm-started from the previous one, and each gap subtracts
     the value of its vertex. record.lmo_products is the number of operator
     products that oracle call spent.
 
@@ -302,14 +295,14 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
     it receives the current reconstruction at each recorded iterate and its
     dict lands in record.metrics. callback(record, state) fires after each
     record, whose field t is the iteration. Hitting max_iters is not an
-    error: trace[-1].gap tells whether the run reached eps. A NoConvergence
-    from the spectral routines and a NonFiniteInput from a non-finite
-    iterate carry the reconstruction and the records made so far in
-    .result, or (None, records so far) when that reconstruction is rank
-    deficient; a RankDeficientPsiQ from a reconstruction (schatten1
-    template only) carries (None, records so far).
-    The operator and the sketch count as live storage only while solve
-    runs, so the ledger's live counts after it are those before it.
+    error: trace[-1].gap tells whether the run reached eps.
+
+    Any exception raised once the sketch exists leaves with .result set to
+    (factors, records so far), factors being the reconstruction from the
+    sketch as it stands, or None when that reconstruction raises
+    RankDeficientPsiQ. The operator and the sketch count as live storage
+    only while solve runs, so the ledger's live counts after it are those
+    before it, whether it returns or raises.
     """
     state = init_state(spec)
 
@@ -328,15 +321,11 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
         try:
             with ledger.track("solver", 2 * spec.op.d):
                 _cgm_loop(spec, state.z, update_direction, advance, observe, trace_every, trace)
-            factors = state.sketch.reconstruct()
-        except (NoConvergence, RankDeficientPsiQ, NonFiniteInput) as exc:
-            factors = None
-            if not isinstance(exc, RankDeficientPsiQ):
-                try:
-                    factors = state.sketch.reconstruct()
-                except RankDeficientPsiQ:
-                    pass
+            return state.sketch.reconstruct(), trace
+        except Exception as exc:
+            try:
+                factors = state.sketch.reconstruct()
+            except RankDeficientPsiQ:
+                factors = None
             exc.result = (factors, trace)
             raise
-    return factors, trace
-

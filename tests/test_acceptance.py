@@ -71,12 +71,12 @@ def test_ac03_loop_invariants():
     ref = make()
     devs = []
 
-    def check_full(it):
-        z, Y, W = snaps[it.t]
-        zx = measure_dense(ref.op, it.X)
+    def check_full(record, X):
+        z, Y, W = snaps[record.t]
+        zx = measure_dense(ref.op, X)
         dz = np.linalg.norm(z - zx) / max(np.linalg.norm(zx), 1.0)
-        dY = np.linalg.norm(Y - it.X @ Om) / max(np.linalg.norm(it.X @ Om), 1.0)
-        dW = np.linalg.norm(W - Ps @ it.X) / max(np.linalg.norm(Ps @ it.X), 1.0)
+        dY = np.linalg.norm(Y - X @ Om) / max(np.linalg.norm(X @ Om), 1.0)
+        dW = np.linalg.norm(W - Ps @ X) / max(np.linalg.norm(Ps @ X), 1.0)
         devs.append(max(dz, dY, dW))
 
     cgm_dense_solve(ref, trace_every=1, callback=check_full)

@@ -123,10 +123,19 @@ def test_dense_solve_poisson_variant_descends():
 def test_dense_callback_sees_live_iterates():
     prob = spiked_completion_problem(7, m=10, n=8, max_iters=10, eps=1e-300)
     seen = []
-    cgm_dense_solve(prob, trace_every=1, callback=lambda it: seen.append((it.t, it.X.copy())))
+    cgm_dense_solve(prob, trace_every=1, callback=lambda record, X: seen.append((record.t, X.copy())))
     assert [t for t, _ in seen] == list(range(11))
     assert np.linalg.norm(seen[0][1]) == 0.0
     assert np.linalg.norm(seen[-1][1]) > 0.0
+
+
+def test_dense_callback_sees_the_traced_records():
+    prob = spiked_completion_problem(7, m=10, n=8, max_iters=10, eps=1e-300)
+    seen = []
+    _, trace = cgm_dense_solve(prob, trace_every=3, callback=lambda record, X: seen.append(record))
+    assert [record.t for record in trace] == [0, 3, 6, 9, 10]
+    assert len(seen) == len(trace)
+    assert all(record is trace[i] for i, record in enumerate(seen))
 
 
 def test_record_spectra_and_csv(tmp_path):

@@ -11,6 +11,7 @@ import sketchycgm.solver
 from sketchycgm import (
     CodedDiffractionOperator,
     EntrySamplingOperator,
+    ImaginaryLeakage,
     Loss,
     NoConvergence,
     NonFiniteInput,
@@ -588,6 +589,52 @@ def test_degenerate_sketch_keeps_trace(monitored):
     factors, trace = exc.value.result
     assert factors is None
     assert [rec.t for rec in trace] == ([0, 1, 2] if monitored else [0, 1, 2, 3, 4, 5])
+
+
+class _LeakyDiffraction(CodedDiffractionOperator):
+    """Rotates every rank-one measurement by e^{0.1i}, so psd_measure leaks."""
+
+    def apply_rank_one(self, u, v):
+        return np.exp(0.1j) * super().apply_rank_one(u, v)
+
+
+def _leaky_phase_run():
+    # the oracle never calls apply_rank_one, so the t=0 record is made
+    # before the first update raises
+    prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), eps=1e-300, max_iters=5)
+    return replace(prob, op=_LeakyDiffraction(prob.op.n, prob.op.views)), {}
+
+
+def _failing_eval_fn_run():
+    calls = 0
+
+    def eval_fn(factors):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise KeyError("third record")
+        return {}
+
+    prob = spiked_completion_problem(13, m=8, n=6, eps=1e-300, max_iters=10)
+    return prob, {"eval_fn": eval_fn}
+
+
+@pytest.mark.parametrize(
+    "make, error, ts",
+    [
+        pytest.param(_leaky_phase_run, ImaginaryLeakage, [0], id="imaginary-leakage"),
+        pytest.param(_failing_eval_fn_run, KeyError, [0, 1], id="eval-fn-key-error"),
+    ],
+)
+def test_any_failure_keeps_partial_result(make, error, ts):
+    prob, kwargs = make()
+    before = ledger.live()
+    with pytest.raises(error) as exc:
+        solve(prob, **kwargs)
+    assert ledger.live() == before
+    factors, trace = exc.value.result
+    assert factors is not None
+    assert [rec.t for rec in trace] == ts
 
 
 def test_trace_every_keeps_terminal_record():
