@@ -9,8 +9,8 @@ costs one extreme singular pair (schatten1 template) or one extreme
 eigenpair (psd template) of the implicit gradient matrix, plus O((m+n)r)
 sketch work. The oracle warm-starts its Krylov iteration from the previous
 iteration's vertex, which the loop still holds, so this stores nothing
-new; each record carries the number of operator products its oracle
-call spent.
+new; each record carries the number of operator products the oracle
+spent since the previous record.
 
 Stopping uses the duality gap of the linear minimization step, evaluated
 before the update, so a converged iterate is returned untouched. It is
@@ -127,7 +127,7 @@ class IterationRecord:
     gap: float
     objective: float
     wall_ms: float = 0.0
-    lmo_products: int = 0
+    lmo_products: int = 0  # summed over the oracle calls since the previous record
     metrics: dict | None = None
 
 
@@ -256,10 +256,12 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
     started = time.perf_counter()
     t = 0
     vert = None
+    products = 0
     with ledger.track("losses", nscalars(loss.b)):
         while True:
             grad = loss.gradient(z)
             vert = direction(spec, grad, t, vert)
+            products += vert.products
             gap = float(np.real(np.vdot(z, grad))) - vert.value
             del grad
             terminal = gap <= spec.eps or t >= spec.max_iters
@@ -271,8 +273,9 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
                     gap=gap,
                     objective=float(loss.value(z)),
                     wall_ms=(time.perf_counter() - started) * 1e3,
-                    lmo_products=vert.products,
+                    lmo_products=products,
                 )
+                products = 0
                 observe(record)
                 trace.append(record)
             if terminal:
@@ -286,8 +289,9 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
 
     Each iteration asks the linear minimization oracle ``update_direction``
     for a vertex, warm-started from the previous one, and each gap subtracts
-    the value of its vertex. record.lmo_products is the number of operator
-    products that oracle call spent.
+    the value of its vertex. record.lmo_products sums the operator products
+    of the oracle calls since the previous record, so a run's records sum
+    to all it spent.
 
     Returns (factors, trace): the rank-r reconstruction from the sketch and
     the list of IterationRecord. Records are kept every trace_every

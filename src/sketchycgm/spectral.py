@@ -11,10 +11,11 @@ shifted matrix, and the norm estimate survives as the residual scale.
 ``max_sing_vec`` takes the bottom eigenvector v of -G* G from ``min_eig``
 (Golub-Kahan bidiagonalization in exact arithmetic) and closes with one
 product u = G v / sigma. Each Lanczos step on -G* G costs one G v and one
-G* u, and only the n-side basis is stored, so the workspace is width * n *
-cap scalars for a Krylov cap of cap, at most ``_KRYLOV_DIM`` = 48. Start
-vectors are drawn from a seeded generator so that independent runs
-reproduce identical direction sequences.
+G* u, and only the n-side basis is stored: each call allocates and charges
+one basis of cap = min(``_KRYLOV_DIM`` = 48, max_iters, n) rows, and a
+cycle that fills it without converging restarts in place from its bottom
+Ritz vector. Start vectors are drawn from a seeded generator so that
+independent runs reproduce identical direction sequences.
 
 A caller that holds an earlier answer may pass it as ``warm``: the first
 cycle then starts from warm/|warm| + ``_WARM_MIX`` q, normalized, where q
@@ -33,13 +34,14 @@ the vector's norm (the test of Daniel, Gragg, Kaufman and Stewart, 1976):
 the vector, which in measured runs happened only as the Krylov space ran
 out.
 
-Every few steps a cycle checks convergence. The explicit residual, one
-extra product with the Hermitian matrix, is the only stopping test and is
-what a cycle reports. The free Ritz estimate, beta_J times the last
-component of the small Ritz vector, only decides whether a check is worth
-that product: a check runs it once the estimate itself meets the
-tolerance (``_RITZ_GATE`` = 1). With full reorthogonalization the two
-agree to roundoff, so a looser gate mostly buys residuals that then fail.
+Every few steps, and at the end of each cycle, the loop checks
+convergence. The explicit residual, one extra product with the Hermitian
+matrix, is the only stopping test short of an exhausted Krylov space. The
+free Ritz estimate, beta_J times the last component of the small Ritz
+vector, only decides whether a check is worth that product: a check runs
+it once the estimate itself meets the tolerance (``_RITZ_GATE`` = 1). With
+full reorthogonalization the two agree to roundoff, so a looser gate
+mostly buys residuals that then fail.
 """
 
 from __future__ import annotations
@@ -79,10 +81,14 @@ class SpectralConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _check_settings(self.tol, self.max_iters)
+
+
+def _check_settings(tol, max_iters):
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
 
 
 class ImplicitGradientMatrix:
@@ -205,25 +211,59 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
     unit vector q drawn from seed; None or an all-zero vector gives q
     itself. The defaults are ``SpectralConfig``'s.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
+    _check_settings(tol, max_iters)
     G = _as_linop(G)
     n, n2 = G.shape
     if n != n2:
         raise DimensionMismatch("min_eig needs a square matrix")
     q0 = _start_vector(n, G.iscomplex, seed, warm)
-    width = 2 if G.iscomplex else 1
-    used = 0
-    while used < max_iters:
-        cap = int(min(_KRYLOV_DIM, max_iters - used, n))
-        with ledger.track("spectral", width * n * cap + 4 * cap):
-            u, rho, resid, norm_est, steps, exact = _lanczos_cycle(G, q0, cap, tol)
-        used += steps
-        if exact or resid <= tol * max(norm_est, 1e-300):
-            return rho, u * _canonical_phase(u)
-        q0 = u / np.linalg.norm(u)
+    dt, width = (np.complex128, 2) if G.iscomplex else (np.float64, 1)
+    cap = int(min(_KRYLOV_DIM, max_iters, n))
+    with ledger.track("spectral", width * n * cap + 4 * cap):
+        Q = np.zeros((cap, n), dtype=dt)  # row j is the j-th Lanczos vector
+        alphas = np.zeros(cap)
+        betas = np.zeros(cap)
+        Q[0] = q0
+        j = 0
+        for used in range(1, max_iters + 1):
+            w = G.matvec(Q[j])
+            alphas[j] = float(np.real(np.vdot(Q[j], w)))
+            # a new array, so the in-place updates below never write into G's output
+            w = w - alphas[j] * Q[j]
+            if j > 0:
+                w -= betas[j - 1] * Q[j - 1]
+            b = np.linalg.norm(w)
+            for _ in range(2):
+                _gram_schmidt_pass(Q[: j + 1], w)
+                before, b = b, np.linalg.norm(w)
+                if b >= _DGKS_RATIO * before:
+                    break
+            J = j + 1
+            # betas[j:] are left over from an earlier cycle, so they stay out
+            scale = max(float(np.abs(alphas[:J]).max()), float(betas[:j].max(initial=0.0)), 1e-300)
+            exhausted = b <= _BREAKDOWN * scale
+            final = exhausted or J == cap or used == max_iters
+            if final or J % _CHECK_EVERY == 0:
+                T = np.diag(alphas[:J])
+                if J > 1:
+                    T += np.diag(betas[: J - 1], 1) + np.diag(betas[: J - 1], -1)
+                evals, evecs = np.linalg.eigh(T)
+                lam = evals[0]
+                bound = tol * max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
+                # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
+                if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
+                    u = evecs[:, 0] @ Q[:J]
+                    Gu = G.matvec(u)
+                    if exhausted or np.linalg.norm(Gu - lam * u) <= bound:
+                        return float(np.real(np.vdot(u, Gu))), u * _canonical_phase(u)
+                    if final:
+                        # restart in place from the cycle's bottom Ritz vector
+                        Q[0] = u / np.linalg.norm(u)
+                        j = 0
+                        continue
+            betas[j] = b
+            np.divide(w, b, out=Q[j + 1])
+            j += 1
     raise NoConvergence(f"minimum eigenpair not resolved in {max_iters} Lanczos steps")
 
 
@@ -234,51 +274,3 @@ def _gram_schmidt_pass(B, w):
         w -= np.conj(B @ np.conj(w)) @ B
     else:
         w -= (B @ w) @ B
-
-
-def _lanczos_cycle(G, q0, cap, tol):
-    """One Hermitian Lanczos cycle from q0; returns the bottom Ritz vector and its Re(u* G u)."""
-    n = G.shape[0]
-    dt = np.complex128 if G.iscomplex else np.float64
-    Q = np.zeros((cap, n), dtype=dt)  # row j is the j-th Lanczos vector
-    alphas = np.zeros(cap)
-    betas = np.zeros(cap)
-    Q[0] = q0
-    j = 0
-    exhausted = False
-    while True:
-        w = G.matvec(Q[j])
-        alphas[j] = float(np.real(np.vdot(Q[j], w)))
-        # a new array, so the in-place updates below never write into G's output
-        w = w - alphas[j] * Q[j]
-        if j > 0:
-            w -= betas[j - 1] * Q[j - 1]
-        b = np.linalg.norm(w)
-        for _ in range(2):
-            _gram_schmidt_pass(Q[: j + 1], w)
-            before, b = b, np.linalg.norm(w)
-            if b >= _DGKS_RATIO * before:
-                break
-        J = j + 1
-        scale = max(float(np.abs(alphas[:J]).max()), float(betas[:J].max()), 1e-300)
-        if b <= _BREAKDOWN * scale:
-            exhausted = True
-        if exhausted or J == cap or J % _CHECK_EVERY == 0:
-            T = np.diag(alphas[:J])
-            if J > 1:
-                T += np.diag(betas[: J - 1], 1) + np.diag(betas[: J - 1], -1)
-            evals, evecs = np.linalg.eigh(T)
-            lam = evals[0]
-            norm_est = max(abs(float(evals[0])), abs(float(evals[-1])))
-            bound = tol * max(norm_est, 1e-300)
-            final = exhausted or J == cap
-            # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
-            if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
-                u = evecs[:, 0] @ Q[:J]
-                Gu = G.matvec(u)
-                resid = np.linalg.norm(Gu - lam * u)
-                if final or resid <= bound:
-                    return u, float(np.real(np.vdot(u, Gu))), resid, norm_est, J, exhausted
-        betas[j] = b
-        np.divide(w, b, out=Q[j + 1])
-        j += 1

@@ -129,6 +129,18 @@ def test_variant_override_is_validated(capsys):
     assert _last_json(lines)["error"] == "ValueError"
 
 
+def test_infinite_spectral_tol_is_rejected(capsys):
+    # with tol = inf every convergence check would pass at once
+    code, lines = _run(
+        capsys,
+        ["solve", "--problem", "phase", "--n", "8", "--views", "4", "--spectral-tol", "inf"],
+    )
+    assert code == 2
+    payload = _last_json(lines)
+    assert payload["error"] == "ValueError"
+    assert "tol must be positive and finite" in payload["message"]
+
+
 def test_variant_flag_is_gone():
     # the poisson variant follows --loss; there is no flag to mismatch them
     with pytest.raises(SystemExit):

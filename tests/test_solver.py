@@ -433,8 +433,12 @@ def test_warm_start_spends_fewer_products(monkeypatch):
     assert 0 < warm < cold
 
 
-@pytest.mark.parametrize("template", ["psd", "schatten1"])
-def test_lmo_products_count_the_operator_adjoints(template):
+@pytest.mark.parametrize(
+    "template, trace_every",
+    [("psd", 1), ("schatten1", 1), ("psd", 3), ("schatten1", 3)],
+    ids=["psd", "schatten1", "psd-every-3", "schatten1-every-3"],
+)
+def test_lmo_products_count_the_operator_adjoints(template, trace_every):
     prob = _warm_instance(template)
     op = prob.op
     adjoints = [0]
@@ -447,9 +451,13 @@ def test_lmo_products_count_the_operator_adjoints(template):
 
         setattr(op, name, counting)
     seen = []
-    _, trace = solve(prob, callback=lambda record, state: seen.append(adjoints[0]))
-    # only the oracle applies an adjoint inside solve
+    _, trace = solve(prob, trace_every=trace_every,
+                     callback=lambda record, state: seen.append(adjoints[0]))
+    assert [rec.t for rec in trace] == list(range(0, 16, trace_every))
+    # only the oracle applies an adjoint inside solve, and each record sums
+    # the oracle calls since the previous one
     assert [rec.lmo_products for rec in trace] == list(np.diff(seen, prepend=0))
+    assert sum(rec.lmo_products for rec in trace) == adjoints[0]
     assert all(rec.lmo_products > 0 for rec in trace)
     _, dense_trace = cgm_dense_solve(prob, spectral_mode="dense")
     assert [rec.lmo_products for rec in dense_trace] == [0] * 16

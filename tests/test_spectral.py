@@ -16,6 +16,7 @@ from sketchycgm import (
     max_sing_vec,
     min_eig,
 )
+from sketchycgm.memory import ledger
 from helpers import CountingLinop, random_mask, recorded_charges
 
 
@@ -207,6 +208,8 @@ class TestMinEig:
         A = np.random.default_rng(11).standard_normal((30, 30))
         with pytest.raises(ValueError, match="tol"):
             routine(A + A.T, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            routine(A + A.T, tol=np.inf)
         with pytest.raises(ValueError, match="max_iters"):
             routine(A + A.T, max_iters=0)
 
@@ -265,6 +268,40 @@ class TestReorthogonalization:
         min_eig(M + M.T, tol=1e-8)
         assert len(rows) > sketchycgm.spectral._KRYLOV_DIM
         assert _repeated_passes(rows) == 0
+
+
+class TestRestart:
+    """A call that outgrows the Krylov cap restarts over the same basis."""
+
+    CAP = sketchycgm.spectral._KRYLOV_DIM
+    CHARGE = ("spectral", 400 * CAP + 4 * CAP)
+
+    def _matrix(self):
+        M = np.random.default_rng(13).standard_normal((400, 400))
+        return M + M.T
+
+    def test_a_restarting_call_charges_one_basis(self, monkeypatch):
+        H = self._matrix()
+        rows = _gram_schmidt_passes(monkeypatch)
+        charges = recorded_charges(monkeypatch)
+        before = ledger.live()
+        lam, _ = min_eig(H, tol=1e-8)
+        assert len(rows) > self.CAP  # the call did restart
+        assert charges == [self.CHARGE]
+        assert ledger.live() == before
+        assert lam == pytest.approx(np.linalg.eigvalsh(H)[0], rel=1e-9)
+
+    def test_a_budget_spent_mid_cycle_raises_after_exactly_max_iters_steps(self, monkeypatch):
+        rows = _gram_schmidt_passes(monkeypatch)
+        charges = recorded_charges(monkeypatch)
+        with pytest.raises(NoConvergence):
+            min_eig(self._matrix(), tol=1e-14, max_iters=50)
+        # one Gram-Schmidt pass per step, so 50 steps; each cycle's first
+        # step sees a one-row basis, so 2 cycles, the second cut short
+        assert _repeated_passes(rows) == 0
+        assert len(rows) == 50
+        assert rows.count(1) == 2
+        assert charges == [self.CHARGE]
 
 
 def _symmetric_entry_sampling(rng, n, frac):
