@@ -7,10 +7,10 @@ the sketched solver against the dense reference across problem sizes),
 and gen (write synthetic problem instances to disk).
 
 Configuration is flat key=value text: --config FILE is expanded into the
-equivalent command-line flags, and explicit flags override the file. Runs
-are reproducible bit for bit given the same config and seeds, wall-clock
-fields excepted. Failures exit nonzero after printing a machine-readable
-error JSON.
+equivalent command-line flags, one --key value pair per line, and explicit
+flags override the file. Runs are reproducible bit for bit given the same
+config and seeds, wall-clock fields excepted. Failures exit nonzero after
+printing a machine-readable error JSON.
 
 Storage is measured in live scalar counts through the allocation ledger
 rather than process RSS: deterministic and platform independent, which is
@@ -61,7 +61,7 @@ DEFAULT_BENCH_NS = "256,512,1024,2048,4096,8192"
 
 
 def _load_config_tokens(path: str) -> list[str]:
-    """Turn key=value lines into command-line tokens."""
+    """Turn each key=value line into the two tokens --key value."""
     tokens: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -73,13 +73,7 @@ def _load_config_tokens(path: str) -> list[str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key:
                 raise ParseError(lineno, "empty key")
-            flag = "--" + key.replace("_", "-")
-            if value.lower() == "true":
-                tokens.append(flag)
-            elif value.lower() == "false":
-                continue
-            else:
-                tokens.extend([flag, value])
+            tokens.extend(["--" + key.replace("_", "-"), value])
     return tokens
 
 

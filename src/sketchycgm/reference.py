@@ -4,17 +4,17 @@ The reference solver drives the sketched solver's own conditional gradient
 loop (``solver._cgm_loop``) but carries the full matrix iterate, so tests
 can compare the implicit state against ground truth. It is deliberately
 guarded to small problems: its role is oracle, not production path. It
-runs the spec as given, to spec.max_iters; a spec with the poisson loss
-carries z by the sketched solver's recurrence instead of re-measuring the
-dense iterate. With spectral_mode="lanczos" it calls the same seeded
-linear minimization oracle as the sketched solver, warm-started the same
-way from its own previous vertex, so both produce the same direction
-sequences up to the rounding of their iterates; spectral_mode="dense"
-swaps in full factorizations for runs that must reach very small gaps
-without iterative-solver stalls. Either way the extreme pair becomes a vertex
-through the one shared ``solver.vertex`` routine. Its callback has solve's
-shape, callback(record, X), with X the dense iterate: a live view, to copy
-before storing.
+runs the spec as given, to spec.max_iters. For every spec it carries z by
+the sketched solver's recurrence and moves the dense X by the same
+vertices, never measuring X back into z, so X stays the ground truth that
+z and the sketch are checked against. With spectral_mode="lanczos" it
+calls the same seeded linear minimization oracle as the sketched solver,
+warm-started the same way, so the run shadows the sketched one bit for
+bit; spectral_mode="dense" swaps in full factorizations for runs that
+must reach very small gaps without iterative-solver stalls. Either way the
+extreme pair becomes a vertex through the one shared ``solver.vertex``
+routine. Its callback has solve's shape, callback(record, X), with X the
+dense iterate: a live view, to copy before storing.
 
 Metrics: effective rank of a spectrum, phase-aligned relative error for
 phase retrieval, PSNR, and held-out entrywise test error evaluated from
@@ -23,7 +23,7 @@ factors without densifying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -57,17 +57,17 @@ class EvalSpec:
 
     loss_kind picks the entrywise penalty for test_error. When the training
     index set is supplied the constructor enforces that the two sets are
-    disjoint.
+    disjoint; it is not kept.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     loss_kind: str = "gauss"
-    train_rows: np.ndarray | None = None
-    train_cols: np.ndarray | None = None
+    train_rows: InitVar[np.ndarray | None] = None
+    train_cols: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, train_rows, train_cols):
         self.rows = np.asarray(self.rows, dtype=np.intp)
         self.cols = np.asarray(self.cols, dtype=np.intp)
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -77,11 +77,11 @@ class EvalSpec:
             raise DimensionMismatch("rows, cols, values must have equal length")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if (self.train_rows is None) != (self.train_cols is None):
+        if (train_rows is None) != (train_cols is None):
             raise ValueError("supply both train index arrays or neither")
-        if self.train_rows is not None:
-            train_rows = np.asarray(self.train_rows, dtype=np.intp).ravel()
-            train_cols = np.asarray(self.train_cols, dtype=np.intp).ravel()
+        if train_rows is not None:
+            train_rows = np.asarray(train_rows, dtype=np.intp).ravel()
+            train_cols = np.asarray(train_cols, dtype=np.intp).ravel()
             if train_rows.size != train_cols.size:
                 raise DimensionMismatch("train_rows and train_cols must have equal length")
             if train_rows.size:
@@ -146,10 +146,12 @@ def cgm_dense_solve(
     """Dense conditional gradient run; returns (X, trace).
 
     Stops when the duality gap reaches spec.eps or after spec.max_iters
-    updates. callback(record, X) fires at every recorded iterate, before
-    the update is applied, with the record that then joins the trace and X
-    the dense iterate, a live view to copy before storing. Like solve, it
-    charges the operator's storage only while it runs.
+    updates. z follows solve's recurrence for every spec, so with
+    spectral_mode="lanczos" the trace is solve's bit for bit, wall_ms aside.
+    callback(record, X) fires at every recorded iterate, before the update
+    is applied, with the record that then joins the trace and X the dense
+    iterate, a live view to copy before storing. Like solve, it charges the
+    operator's storage only while it runs.
     """
     op = spec.op
     if op.m * op.n > DENSE_GUARD:
@@ -160,14 +162,10 @@ def cgm_dense_solve(
     width = 2 if np.issubdtype(np.dtype(op.field), np.complexfloating) else 1
     k = min(m, n)
     X = np.zeros((m, n), dtype=op.field)
-    poisson = spec.variant == "poisson"
 
     def advance(z, vert, eta):
         X[:] = (1.0 - eta) * X + eta * np.outer(vert.left, vert.v.conj())
-        if poisson:
-            return _step(spec, z, vert, eta)
-        # measurement families here are real valued; imaginary residue is roundoff
-        return measure_dense(op, X).real
+        return _step(spec, z, vert, eta)
 
     def observe(record):
         if callback is not None:

@@ -244,9 +244,8 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
             exhausted = b <= _BREAKDOWN * scale
             final = exhausted or J == cap or used == max_iters
             if final or J % _CHECK_EVERY == 0:
-                T = np.diag(alphas[:J])
-                if J > 1:
-                    T += np.diag(betas[: J - 1], 1) + np.diag(betas[: J - 1], -1)
+                # eigh reads only the lower triangle (UPLO="L"), so T needs no upper diagonal
+                T = np.diag(alphas[:J]) + np.diag(betas[: J - 1], -1)
                 evals, evecs = np.linalg.eigh(T)
                 lam = evals[0]
                 bound = tol * max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)

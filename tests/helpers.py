@@ -100,10 +100,10 @@ def spiked_completion_problem(
     """Gauss completion instance whose data is dominated by one rank-one spike.
 
     With alpha far below the spike's strength the linear minimization step
-    selects essentially the same extreme point at every iteration, which keeps
-    independently executed trajectories numerically identical instead of
-    amplifying last-bit rounding differences through the eigengap.  Both the
-    loop-invariant and the gap-soundness acceptance checks run on this family.
+    selects essentially the same extreme point at every iteration.  The dense
+    oracle follows the sketched run's vertices bit for bit on this family as
+    on any other; the loop-invariant and gap-soundness acceptance checks run
+    on it.
     """
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(m)

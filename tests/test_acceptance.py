@@ -51,7 +51,8 @@ def test_ac02_sketch_tail_bound():
 
 
 def test_ac03_loop_invariants():
-    # independent sketchy and dense runs, same instance and spectral seeds
+    # the dense run takes the sketchy run's vertices; its X, built from them
+    # alone, is the ground truth for the sketchy run's z, Y and W
     t0 = time.perf_counter()
     make = lambda: spiked_completion_problem(
         5, m=30, n=20, obs_fraction=0.9, alpha=0.5, rank=3, eps=1e-300, max_iters=200

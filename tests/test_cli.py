@@ -89,7 +89,8 @@ def test_solve_phase_metrics_present(tmp_path, capsys):
     )
     assert code == 0
     metrics = _last_json(lines)["metrics"]
-    assert "phase_err" in metrics or "rel_err" in metrics or metrics, metrics
+    assert set(metrics) == {"phase_aligned_error", "psnr_db"}, metrics
+    assert all(np.isfinite(value) for value in metrics.values()), metrics
 
 
 def test_config_file_expansion_and_override(tmp_path, capsys):
@@ -106,6 +107,16 @@ def test_config_file_expansion_and_override(tmp_path, capsys):
     )
     assert code2 == 0
     assert _last_json(lines2)["iters"] == 0
+
+
+def test_config_value_false_is_passed_on(tmp_path, capsys):
+    # every line becomes --key value, so a non-numeric alpha is refused
+    # instead of being dropped in favour of the generated one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 8\nviews = 4\nmax-iters = 5\nalpha = false\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "phase", "--config", str(cfg)])
+    assert exc.value.code != 0
 
 
 def test_error_payload_on_bad_argument(capsys):

@@ -1,5 +1,7 @@
 """Dense reference path and evaluation metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from sketchycgm import (
 )
 from sketchycgm import test_error as heldout_error
 from sketchycgm import CodedDiffractionOperator, EntrySamplingOperator, Loss, ProblemSpec
+from sketchycgm.solver import _initial_z
 from helpers import adjoint_via_dense, measure_via_dense, random_mask, spiked_completion_problem
 
 
@@ -48,47 +51,67 @@ def test_dense_adjoint_matches_sensing_matrix():
     np.testing.assert_allclose(dense_adjoint(op, z), adjoint_via_dense(op, z), atol=1e-12)
 
 
-def test_dense_solve_agrees_with_sketchy_on_pinned_instance():
-    # vertex-dominated data keeps both trajectories on the same extreme
-    # point, so the independent runs must agree to roundoff accumulation
-    prob = spiked_completion_problem(5, m=16, n=12, max_iters=50)
-    _, trace = solve(prob, trace_every=1)
-    prob2 = spiked_completion_problem(5, m=16, n=12, max_iters=50)
-    X, dtrace = cgm_dense_solve(prob2)
-    zs = np.array([r.gap for r in trace])
-    zd = np.array([r.gap for r in dtrace])
-    np.testing.assert_allclose(zs, zd, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(
-        prob2.op.apply_rank_one(np.ones(16), np.ones(12)) * 0.0,
-        measure_dense(prob2.op, X) - measure_dense(prob2.op, X),
-    )
-
-
-@pytest.mark.parametrize("loss_kind", ["gauss", "poisson"])
-@pytest.mark.parametrize("seed", range(5))
-def test_dense_solve_agrees_with_sketchy_on_psd_phase(seed, loss_kind):
-    # the psd template through the shared oracle; the poisson variant carries
-    # z by the same recurrence in both solvers, so its gaps agree bit for bit,
-    # while the standard dense oracle re-measures X and agrees to roundoff.
-    # The gauss cases sit near the rtol because that roundoff grows along the
-    # run, not because the two runs take different Lanczos stops: with the
-    # oracle at a fixed tolerance, seed 2 makes the same stops in both solvers
-    # (654 steps each) and its gaps still drift apart to 7.5e-10 at t = 40,
-    # about x10 every 7 iterations. Any change to the trajectory redraws these
-    # numbers; it must pass at this rtol, not loosen it.
-    prob, _x = gen_phase_problem(
+def _agreement_instance(case):
+    if case == "spiked":
+        return spiked_completion_problem(5, m=16, n=12, max_iters=50)
+    seed, loss_kind = case
+    return gen_phase_problem(
         SyntheticPhaseSpec(n=16, views=6, seed=seed), loss_kind=loss_kind,
         eps=1e-300, max_iters=40,
-    )
-    _, trace = solve(prob, trace_every=1)
-    _, dtrace = cgm_dense_solve(prob, trace_every=1)
-    gaps = np.array([r.gap for r in trace])
-    dgaps = np.array([r.gap for r in dtrace])
-    assert gaps.size == dgaps.size == 41
-    if loss_kind == "poisson":
-        np.testing.assert_array_equal(gaps, dgaps)
-    else:
-        np.testing.assert_allclose(gaps, dgaps, rtol=1e-9)
+    )[0]
+
+
+def _dev(a, b) -> float:
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param((seed, loss), id=f"{seed}-{loss}")
+        for seed in range(5)
+        for loss in ("gauss", "poisson")
+    ]
+    + [pytest.param("spiked", id="spiked-schatten1")],
+)
+def test_dense_solve_agrees_with_sketchy_on_psd_phase(case):
+    # the psd phase instances under both losses, and a spiked schatten1
+    # completion one. The dense oracle carries z by solve's recurrence and
+    # takes the same vertices, so the two traces agree bit for bit. X is
+    # never measured back into z, so at every record it is the ground truth
+    # for z and the sketch: z = measure(X) + c_t z0, where poisson starts
+    # from z0 and c_t, the product of the (1 - eta) so far, is
+    # 2/((t+1)(t+2)); Y = X Omega and W = Psi X (W is empty for psd).
+    prob = _agreement_instance(case)
+    z0 = _initial_z(prob)
+    snaps = {}
+
+    def grab(record, state):
+        sk = state.sketch
+        snaps[record.t] = (state.z.copy(), sk.Y.copy(), sk.W.copy(), sk.Omega, sk.Psi)
+
+    _, trace = solve(prob, trace_every=1, callback=grab)
+    devs = []
+
+    def check(record, X):
+        t = record.t
+        z, Y, W, Om, Ps = snaps[t]
+        zx = measure_dense(prob.op, X)
+        c = 2.0 / ((t + 1) * (t + 2)) if prob.variant == "poisson" else 0.0
+        devs.append((
+            _dev(z, zx.real + c * z0),
+            _dev(Y, X @ Om),
+            _dev(W, Ps @ X),
+            np.linalg.norm(zx.imag) / max(np.linalg.norm(zx), 1.0),
+        ))
+
+    _, dtrace = cgm_dense_solve(prob, trace_every=1, callback=check)
+    # wall_ms measures the machine, not the run, so it is left out
+    assert [repr(replace(r, wall_ms=0.0)) for r in dtrace] == [
+        repr(replace(r, wall_ms=0.0)) for r in trace
+    ]
+    assert len(devs) == len(trace) == prob.max_iters + 1
+    assert np.max(devs) <= 1e-12, np.max(devs, axis=0)
 
 
 def test_dense_solve_guard():

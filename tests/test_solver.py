@@ -406,13 +406,9 @@ def test_oracle_starts_from_the_previous_vertex(monkeypatch, template, loss_kind
             else:
                 expected = out[1]
             np.testing.assert_array_equal(warm, expected)
+    # both runs carry z by the same recurrence, so the whole path agrees
     for (_, _, warm, _), (_, _, dense_warm, _) in zip(sketched[1:], calls[1:]):
-        if loss_kind == "poisson":
-            # both runs carry z by the same recurrence, so the whole path agrees
-            np.testing.assert_array_equal(warm, dense_warm)
-        else:
-            # the dense oracle re-measures z from its matrix, a roundoff apart
-            np.testing.assert_allclose(warm, dense_warm, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(warm, dense_warm)
 
 
 @pytest.mark.parametrize("template", ["psd", "schatten1"])
