@@ -45,9 +45,9 @@ def main(argv=None):
         ev = m = n = None
         if args.test_data is not None:
             trows, tcols, tvals = read_triples(args.test_data)
-            ev = EvalSpec(rows=trows, cols=tcols, values=tvals)
-            # the grid covers held-out rows and columns that training lacks
             rows, cols, _ = read_triples(args.data)
+            ev = EvalSpec(rows=trows, cols=tcols, values=tvals, train_rows=rows, train_cols=cols)
+            # the grid covers held-out rows and columns that training lacks
             m = int(max(rows.max(), trows.max())) + 1
             n = int(max(cols.max(), tcols.max())) + 1
         op, values = entry_sampling_from_file(args.data, m=m, n=n)

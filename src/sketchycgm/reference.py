@@ -4,16 +4,15 @@ The reference solver drives the sketched solver's own conditional gradient
 loop (``solver._cgm_loop``) but carries the full matrix iterate, so tests
 can compare the implicit state against ground truth. It is deliberately
 guarded to small problems: its role is oracle, not production path. It
-runs the spec as given, to spec.max_iters. For every spec it carries z by
-the sketched solver's recurrence and moves the dense X by the same
-vertices, never measuring X back into z, so X stays the ground truth that
-z and the sketch are checked against. With spectral_mode="lanczos" it
-calls the same seeded linear minimization oracle as the sketched solver,
-warm-started the same way, so the run shadows the sketched one bit for
-bit; spectral_mode="dense" swaps in full factorizations for runs that
-must reach very small gaps without iterative-solver stalls. Either way the
-extreme pair becomes a vertex through the one shared ``solver.vertex``
-routine. Its callback has solve's shape, callback(record, X), with X the
+runs the spec as given, to spec.max_iters. The shared loop steps z by its
+own recurrence and the dense X moves by the same vertices, never measured
+back into z, so X stays the ground truth that z and the sketch are checked
+against. With spectral_mode="lanczos" it calls the same seeded linear
+minimization oracle as the sketched solver, warm-started the same way, so
+the run shadows the sketched one bit for bit; spectral_mode="dense" swaps
+in full factorizations for runs that must reach very small gaps without
+iterative-solver stalls. Either way the extreme pair becomes a vertex
+through the one shared ``solver.vertex`` routine. Its callback has solve's shape, callback(record, X), with X the
 dense iterate: a live view, to copy before storing.
 
 Metrics: effective rank of a spectrum, phase-aligned relative error for
@@ -29,9 +28,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooLargeForDense, ZeroTruth
 from .losses import LOSS_KINDS, Loss
-from .memory import ledger
+from .memory import ledger, nscalars
 from .sketch import FactoredMatrix
-from .solver import Direction, ProblemSpec, _cgm_loop, _initial_z, _step, update_direction, vertex
+from .solver import Direction, ProblemSpec, _cgm_loop, _initial_z, update_direction, vertex
 from .spectral import _canonical_phase
 
 __all__ = [
@@ -124,17 +123,25 @@ def dense_adjoint(op, z: np.ndarray) -> np.ndarray:
 def _exact_direction(spec: ProblemSpec, grad: np.ndarray, t: int, previous=None) -> Direction:
     """Vertex from a full factorization, canonicalized like the iterative path.
 
-    A full factorization needs no start vector, so previous is ignored.
+    A full factorization needs no start vector, so previous is ignored. Its
+    workspace counts under "spectral", the tag of the Krylov oracle, while
+    the call runs.
     """
-    G = dense_adjoint(spec.op, grad)
-    if spec.template == "psd":
-        w, P = np.linalg.eigh(0.5 * (G + G.conj().T))
-        u = P[:, 0]
-        return vertex(spec, u * _canonical_phase(u), rho=float(w[0]))
-    U, s, Vh = np.linalg.svd(G)
-    u, v = U[:, 0], Vh[0].conj()
-    ph = _canonical_phase(u)
-    return vertex(spec, u * ph, v * ph, float(s[0]))
+    op = spec.op
+    m, n = op.m, op.n
+    width = 2 if op.field.kind == "c" else 1
+    # an upper bound on the arrays live at once: G beside its full SVD, or G
+    # beside its Hermitian part and eigh's factors
+    with ledger.track("spectral", width * (m * n + m * m + n * n + min(m, n))):
+        G = dense_adjoint(op, grad)
+        if spec.template == "psd":
+            w, P = np.linalg.eigh(0.5 * (G + G.conj().T))
+            u = P[:, 0]
+            return vertex(spec, u * _canonical_phase(u), rho=float(w[0]))
+        U, s, Vh = np.linalg.svd(G)
+        u, v = U[:, 0], Vh[0].conj()
+        ph = _canonical_phase(u)
+        return vertex(spec, u * ph, v * ph, float(s[0]))
 
 
 def cgm_dense_solve(
@@ -146,26 +153,28 @@ def cgm_dense_solve(
     """Dense conditional gradient run; returns (X, trace).
 
     Stops when the duality gap reaches spec.eps or after spec.max_iters
-    updates. z follows solve's recurrence for every spec, so with
-    spectral_mode="lanczos" the trace is solve's bit for bit, wall_ms aside.
+    updates. The dense X is the shadow it hands to solve's own loop, which
+    steps and charges z, so with spectral_mode="lanczos" the trace is
+    solve's bit for bit, wall_ms aside. X moves in place beside one m x n
+    outer product, and those two arrays are all it charges ("dense_cgm")
+    besides the operator; the loop state is charged as in solve.
     callback(record, X) fires at every recorded iterate, before the update
     is applied, with the record that then joins the trace and X the dense
-    iterate, a live view to copy before storing. Like solve, it charges the
-    operator's storage only while it runs.
+    iterate, a live view to copy before storing.
     """
     op = spec.op
     if op.m * op.n > DENSE_GUARD:
         raise TooLargeForDense(f"{op.m}x{op.n} exceeds the dense guard {DENSE_GUARD}")
     if spectral_mode not in ("lanczos", "dense"):
         raise ValueError(f"unknown spectral_mode {spectral_mode!r}")
-    m, n = op.m, op.n
-    width = 2 if np.issubdtype(np.dtype(op.field), np.complexfloating) else 1
-    k = min(m, n)
-    X = np.zeros((m, n), dtype=op.field)
+    X = np.zeros((op.m, op.n), dtype=op.field)
 
-    def advance(z, vert, eta):
-        X[:] = (1.0 - eta) * X + eta * np.outer(vert.left, vert.v.conj())
-        return _step(spec, z, vert, eta)
+    def shadow(left, v, eta):
+        nonlocal X  # the in-place operators rebind X to itself
+        P = np.outer(left, v.conj())
+        P *= eta
+        X *= 1.0 - eta
+        X += P
 
     def observe(record):
         if callback is not None:
@@ -173,9 +182,8 @@ def cgm_dense_solve(
 
     direction = update_direction if spectral_mode == "lanczos" else _exact_direction
     trace = []
-    dense = width * (2 * m * n + k * (m + n + 1))
-    with ledger.track("operators", op.scalars), ledger.track("dense_cgm", dense):
-        _cgm_loop(spec, _initial_z(spec), direction, advance, observe, trace_every, trace)
+    with ledger.track("operators", op.scalars), ledger.track("dense_cgm", 2 * nscalars(X)):
+        _cgm_loop(spec, _initial_z(spec), direction, shadow, observe, trace_every, trace)
     return X, trace
 
 

@@ -27,11 +27,12 @@ only the starting point (a strictly positive vector, keeping the
 log-domain safe) and the step-size schedule; every other loss runs the
 standard one.
 
-The iteration itself (gradient, vertex, gap, record, step size) is written
-once, in ``_cgm_loop``, together with the linear minimization oracle
-``update_direction`` and the ``vertex`` it returns. ``solve`` drives the
-loop with the sketch update; the dense oracle in ``reference`` drives the
-same loop and oracle while carrying the full matrix instead.
+The iteration itself (gradient, vertex, gap, record, step size, the step
+of z) is written once, in ``_cgm_loop``, together with the linear
+minimization oracle ``update_direction`` and the ``vertex`` it returns. The
+loop owns z and charges it; ``solve`` hands it the sketch as the shadow of
+the iterate, and the dense oracle in ``reference`` hands it the full
+matrix instead.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class ProblemSpec:
             )
         if self.template == "psd" and self.op.m != self.op.n:
             raise ValueError("psd template needs a square matrix domain")
+        if self.template == "schatten1" and self.op.field.kind == "c":
+            raise ValueError("schatten1 template needs a real-field operator")
 
     @property
     def variant(self) -> str:
@@ -223,7 +226,7 @@ def update_direction(spec: ProblemSpec, grad, t: int,
     return replace(vert, products=G.calls)
 
 
-def _step(spec: ProblemSpec, z: np.ndarray, vert: Direction, eta: float) -> np.ndarray:
+def _step(spec: ProblemSpec, z: np.ndarray, vert: Direction, eta: float) -> None:
     """z <- (1 - eta) z + eta h in place, where h measures the vertex (0 at the zero vertex)."""
     z *= 1.0 - eta
     if vert.weight != 0.0:
@@ -233,10 +236,9 @@ def _step(spec: ProblemSpec, z: np.ndarray, vert: Direction, eta: float) -> np.n
             h = vert.weight * spec.op.apply_rank_one(vert.u, vert.v)
         h *= eta
         z += h
-    return z
 
 
-def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: int, trace: list):
+def _cgm_loop(spec: ProblemSpec, z, direction, shadow, observe, trace_every: int, trace: list):
     """The conditional gradient iteration shared by solve and the dense oracle.
 
     From the measurement vector z each pass takes the loss gradient g, the
@@ -245,10 +247,13 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
     releases g. Iterates with t % trace_every == 0, and always the terminal
     one, get an IterationRecord that observe(record) sees before the
     update. The run stops once the gap reaches spec.eps or t reaches
-    spec.max_iters; otherwise advance(z, vertex, eta) moves the caller's
-    iterate and returns the next z. The loss data count as live storage
-    while the loop runs. Records go to the caller's list ``trace``, so they
-    outlive a failure inside the loop.
+    spec.max_iters; otherwise shadow(vertex.left, vertex.v, eta), with the
+    contract of Sketch.cgm_update, moves the caller's copy of the iterate,
+    and then z steps in place by the same vertex. The loop is the one owner
+    of z: it charges the loss data and its two d-vectors (z beside the
+    gradient or the vertex's measurements) while it runs, and the caller
+    charges only what its shadow holds. Records go to the caller's list
+    ``trace``, so they outlive a failure inside the loop.
     """
     if trace_every < 1:
         raise ValueError("trace_every must be at least 1")
@@ -257,7 +262,7 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
     t = 0
     vert = None
     products = 0
-    with ledger.track("losses", nscalars(loss.b)):
+    with ledger.track("losses", nscalars(loss.b)), ledger.track("solver", 2 * spec.op.d):
         while True:
             grad = loss.gradient(z)
             vert = direction(spec, grad, t, vert)
@@ -280,7 +285,8 @@ def _cgm_loop(spec: ProblemSpec, z, direction, advance, observe, trace_every: in
                 trace.append(record)
             if terminal:
                 return
-            z = advance(z, vert, eta)
+            shadow(vert.left, vert.v, eta)
+            _step(spec, z, vert, eta)
             t += 1
 
 
@@ -316,15 +322,11 @@ def solve(spec: ProblemSpec, trace_every: int = 1, eval_fn=None, callback=None):
         if callback is not None:
             callback(record, state)
 
-    def advance(z, vert, eta):
-        state.sketch.cgm_update(vert.left, vert.v, eta)
-        return _step(spec, z, vert, eta)
-
     trace: list[IterationRecord] = []
     with ledger.track("operators", spec.op.scalars), ledger.track("sketch", state.sketch.scalars):
         try:
-            with ledger.track("solver", 2 * spec.op.d):
-                _cgm_loop(spec, state.z, update_direction, advance, observe, trace_every, trace)
+            _cgm_loop(spec, state.z, update_direction, state.sketch.cgm_update, observe,
+                      trace_every, trace)
             return state.sketch.reconstruct(), trace
         except Exception as exc:
             try:

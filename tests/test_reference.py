@@ -25,6 +25,7 @@ from sketchycgm import (
 )
 from sketchycgm import test_error as heldout_error
 from sketchycgm import CodedDiffractionOperator, EntrySamplingOperator, Loss, ProblemSpec
+from sketchycgm.memory import ledger, nscalars
 from sketchycgm.solver import _initial_z
 from helpers import adjoint_via_dense, measure_via_dense, random_mask, spiked_completion_problem
 
@@ -54,6 +55,8 @@ def test_dense_adjoint_matches_sensing_matrix():
 def _agreement_instance(case):
     if case == "spiked":
         return spiked_completion_problem(5, m=16, n=12, max_iters=50)
+    if case == "generic":
+        return spiked_completion_problem(6, m=10, n=8, spike=0.0, alpha=1.5, max_iters=40)
     seed, loss_kind = case
     return gen_phase_problem(
         SyntheticPhaseSpec(n=16, views=6, seed=seed), loss_kind=loss_kind,
@@ -72,12 +75,16 @@ def _dev(a, b) -> float:
         for seed in range(5)
         for loss in ("gauss", "poisson")
     ]
-    + [pytest.param("spiked", id="spiked-schatten1")],
+    + [
+        pytest.param("spiked", id="spiked-schatten1"),
+        pytest.param("generic", id="generic-schatten1"),
+    ],
 )
 def test_dense_solve_agrees_with_sketchy_on_psd_phase(case):
-    # the psd phase instances under both losses, and a spiked schatten1
-    # completion one. The dense oracle carries z by solve's recurrence and
-    # takes the same vertices, so the two traces agree bit for bit. X is
+    # the psd phase instances under both losses, and a spiked and an
+    # ordinary (not specially conditioned) schatten1 completion one. Both
+    # runs step z in the shared loop and take the same vertices, so the two
+    # traces agree bit for bit. X is
     # never measured back into z, so at every record it is the ground truth
     # for z and the sketch: z = measure(X) + c_t z0, where poisson starts
     # from z0 and c_t, the product of the (1 - eta) so far, is
@@ -123,6 +130,37 @@ def test_dense_solve_guard():
     # the iteration cap is the spec's own
     with pytest.raises(TypeError):
         cgm_dense_solve(prob, max_iters=1)
+
+
+@pytest.mark.parametrize("mode", ["lanczos", "dense"])
+def test_dense_solve_charges_the_loop_state_as_solve_does(monkeypatch, mode):
+    # the loop charges z and its second d-vector under "solver" and the loss
+    # data under "losses", as in solve; the dense run adds only X beside one
+    # m x n product, and no sketch. The exact oracle charges its
+    # factorization under "spectral" at every call
+    prob = gen_phase_problem(SyntheticPhaseSpec(n=12, views=4), eps=1e-300, max_iters=6)[0]
+    op, d = prob.op, prob.op.d
+    charges = []
+    add = ledger.add
+
+    def recording(tag, count):
+        charges.append((tag, count))
+        add(tag, count)
+
+    monkeypatch.setattr(ledger, "add", recording)
+    ledger.reset()
+    during = []
+    X, trace = cgm_dense_solve(prob, spectral_mode=mode,
+                               callback=lambda record, X: during.append(ledger.live()))
+    assert len(during) == len(trace) == prob.max_iters + 1
+    expected = {"operators": op.scalars, "losses": d, "solver": 2 * d, "dense_cgm": 2 * nscalars(X)}
+    assert during == [expected] * len(during)
+    assert ledger.live() == {}
+    if mode == "dense":
+        m, n = op.m, op.n
+        # coded diffraction is complex: two scalars per entry
+        exact = ("spectral", 2 * (m * n + m * m + n * n + min(m, n)))
+        assert charges.count(exact) == len(trace)
 
 
 def test_dense_solve_poisson_variant_descends():

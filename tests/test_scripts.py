@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -28,6 +30,17 @@ def test_alpha_sweep_covers_held_out_rows_absent_from_training(tmp_path, capsys)
     assert _load("alpha_sweep").main(argv) == 0
     rows = capsys.readouterr().out.strip().splitlines()[2:]
     assert len(rows) == 2 and "nan" not in " ".join(rows)
+
+
+def test_alpha_sweep_rejects_held_out_entries_that_are_training_entries(tmp_path):
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    train.write_text("1 1 1.0\n1 2 2.0\n2 1 0.5\n3 2 1.5\n")
+    # (1, 1) is a training entry
+    test.write_text("1 1 1.0\n2 2 0.5\n")
+    argv = ["--data", str(train), "--test-data", str(test), "--rank", "1",
+            "--alpha-count", "2", "--iters", "5"]
+    with pytest.raises(ValueError, match="overlap the training set"):
+        _load("alpha_sweep").main(argv)
 
 
 def test_spectrum_evolution_writes_csv(tmp_path):

@@ -79,6 +79,13 @@ class TestProblemSpecValidation:
                 op=op, loss=Loss("gauss", [1.0]), alpha=1.0, rank=1, template="psd"
             )
 
+    def test_schatten1_needs_real_field(self):
+        op = CodedDiffractionOperator(8, 4, seed=1)
+        loss = Loss("gauss", np.ones(op.d))
+        with pytest.raises(ValueError, match="real-field"):
+            ProblemSpec(op=op, loss=loss, alpha=5.0, rank=1)
+        ProblemSpec(op=op, loss=loss, alpha=5.0, rank=1, template="psd")
+
     def test_variant_is_derived_not_set(self):
         op, loss = self._op_loss()
         spec = ProblemSpec(op=op, loss=loss, alpha=1.0, rank=1)
@@ -190,35 +197,6 @@ def test_objective_tail_below_start():
     prob = spiked_completion_problem(5, m=12, n=8, max_iters=60)
     _, trace = solve(prob, trace_every=1)
     assert trace[-1].objective < trace[0].objective
-
-
-def test_solver_loop_invariants_generic_instance():
-    """Dense shadow driven by the solver's own deterministic directions.
-
-    Checks z_t = measure(X_t) and (Y, W) = (X_t Omega, Psi X_t) at every
-    iterate of an ordinary (not specially conditioned) completion instance.
-    """
-    prob = spiked_completion_problem(6, m=10, n=8, spike=0.0, alpha=1.5, max_iters=40)
-    op = prob.op
-    shadow = {"X": np.zeros((op.m, op.n)), "previous": None}
-    worst = {"z": 0.0, "Y": 0.0, "W": 0.0}
-
-    def cb(record, state):
-        X = shadow["X"]
-        sk = state.sketch
-        worst["z"] = max(worst["z"], np.abs(state.z - X[op.rows, op.cols]).max())
-        worst["Y"] = max(worst["Y"], np.abs(sk.Y - X @ sk.Omega).max())
-        worst["W"] = max(worst["W"], np.abs(sk.W - sk.Psi @ X).max())
-        # replay the deterministic update the solver is about to take
-        d = update_direction(prob, prob.loss.gradient(state.z), record.t, shadow["previous"])
-        shadow["previous"] = d
-        eta = learning_rate(record.t, prob.variant)
-        shadow["X"] = (1 - eta) * X + eta * np.outer(d.left, np.conj(d.v))
-
-    solve(prob, trace_every=1, callback=cb)
-    assert worst["z"] <= 1e-10
-    assert worst["Y"] <= 1e-10
-    assert worst["W"] <= 1e-10
 
 
 def test_psd_zero_direction_terminates():
