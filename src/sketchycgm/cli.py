@@ -6,11 +6,15 @@ reconstruction guarantees), bench-memory (peak live-scalar accounting of
 the sketched solver against the dense reference across problem sizes),
 and gen (write synthetic problem instances to disk).
 
-Configuration is flat key=value text: --config FILE is expanded into the
-equivalent command-line flags, one --key value pair per line, and explicit
-flags override the file. Runs are reproducible bit for bit given the same
-config and seeds, wall-clock fields excepted. Failures exit nonzero after
-printing a machine-readable error JSON.
+Configuration is flat key=value text: one --config FILE per run is
+expanded into the equivalent command-line flags, one --key value pair per
+line, and explicit flags override the file. Only that expansion reads
+--config; no subcommand declares it, so a second --config, or a config line
+naming another file, reaches argparse as an unknown flag and exits 2. A
+flag that mirrors a library setting takes its default from the dataclass
+that owns it. Runs are reproducible bit for bit given the same config and
+seeds, wall-clock fields excepted. Failures exit nonzero after printing a
+machine-readable error JSON.
 
 Storage is measured in live scalar counts through the allocation ledger
 rather than process RSS: deterministic and platform independent, which is
@@ -100,14 +104,14 @@ def _expand_config(argv: list[str]) -> list[str]:
 def _add_generator_flags(p: argparse.ArgumentParser, n=None, m=None) -> None:
     """The nine generator flags solve and gen share; n and m set the --n/--m defaults."""
     p.add_argument("--n", type=int, default=n)
-    p.add_argument("--views", type=int, default=10)
-    p.add_argument("--noise", choices=NOISE_KINDS, default="none")
-    p.add_argument("--snr-db", type=float, default=20.0)
+    p.add_argument("--views", type=int, default=SyntheticPhaseSpec.views)
+    p.add_argument("--noise", choices=NOISE_KINDS, default=SyntheticPhaseSpec.noise_kind)
+    p.add_argument("--snr-db", type=float, default=SyntheticPhaseSpec.snr_db)
     p.add_argument("--m", type=int, default=m)
     p.add_argument("--true-rank", type=int, default=2)
-    p.add_argument("--obs-fraction", type=float, default=0.3)
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--obs-fraction", type=float, default=SyntheticCompletionSpec.obs_fraction)
+    p.add_argument("--noise-std", type=float, default=SyntheticCompletionSpec.noise)
+    p.add_argument("--test-fraction", type=float, default=SyntheticCompletionSpec.test_fraction)
 
 
 def _synthetic_spec(args):
@@ -129,12 +133,13 @@ def _synthetic_spec(args):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sketchycgm",
-        description="Storage-optimal convex low-rank matrix optimization.",
+        description="Storage-optimal convex low-rank matrix optimization. "
+        "Any subcommand takes one --config FILE of key = value lines, read as "
+        "--key value flags; explicit flags override the file.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sv = sub.add_parser("solve", help="run one problem end to end")
-    sv.add_argument("--config", help="key=value config file; flags override")
     sv.add_argument("--problem", choices=("phase", "completion", "file"), required=True)
     sv.add_argument("--data", help="triples file for --problem file")
     sv.add_argument("--loss", choices=LOSS_KINDS, default=None)
@@ -142,12 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="reconstruction rank (default: --true-rank for completion, else 1)")
     sv.add_argument("--alpha", type=float, default=None)
     sv.add_argument("--alpha-mode", choices=("mean-b",), default=None)
-    sv.add_argument("--eps", type=float, default=1e-6)
+    sv.add_argument("--eps", type=float, default=ProblemSpec.eps)
     sv.add_argument("--max-iters", type=int, default=300)
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--sketch-seed", type=int, default=0)
-    sv.add_argument("--spectral-seed", type=int, default=0)
-    sv.add_argument("--spectral-tol", type=float, default=1e-8,
+    sv.add_argument("--sketch-seed", type=int, default=ProblemSpec.sketch_seed)
+    sv.add_argument("--spectral-seed", type=int, default=SpectralConfig.seed)
+    sv.add_argument("--spectral-tol", type=float, default=SpectralConfig.tol,
                     help="residual tolerance of the linear minimization step from iteration "
                          "998 on; iteration t runs to this times max(1, 1000/(t+2))")
     sv.add_argument("--trace-every", type=int, default=1)
@@ -156,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=run_solve)
 
     st = sub.add_parser("sketch-test", help="sketch reconstruction suites")
-    st.add_argument("--config", help="key=value config file; flags override")
     st.add_argument("--m", type=int, default=200)
     st.add_argument("--n", type=int, default=150)
     st.add_argument("--ranks", default="1,3,5")
@@ -168,17 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(func=run_sketch_test)
 
     bm = sub.add_parser("bench-memory", help="peak live-scalar scaling study")
-    bm.add_argument("--config", help="key=value config file; flags override")
     bm.add_argument("--n-values", default=DEFAULT_BENCH_NS)
     bm.add_argument("--rank", type=int, default=1)
-    bm.add_argument("--views", type=int, default=10)
+    bm.add_argument("--views", type=int, default=SyntheticPhaseSpec.views)
     bm.add_argument("--iters", type=int, default=3)
     bm.add_argument("--seed", type=int, default=0)
     bm.add_argument("--out", default=None)
     bm.set_defaults(func=run_bench_memory)
 
     gn = sub.add_parser("gen", help="write a synthetic instance to disk")
-    gn.add_argument("--config", help="key=value config file; flags override")
     gn.add_argument("--problem", choices=("phase", "completion"), required=True)
     gn.add_argument("--out", required=True)
     gn.add_argument("--seed", type=int, default=0)
@@ -194,6 +196,12 @@ def _outdir(args) -> Path | None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_trace_csv(path: Path, trace) -> None:
@@ -303,9 +311,7 @@ def run_solve(args) -> int:
     if out is not None:
         _write_trace_csv(out / "trace.csv", trace)
         factors.save(out)
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -379,9 +385,7 @@ def run_sketch_test(args) -> int:
     report = {"rank_exact": exact, "tail_bound": tail}
     out = _outdir(args)
     if out is not None:
-        with open(out / "sketch_report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "sketch_report.json", report)
     for name, suite in report.items():
         print(f"{name}: {'PASS' if suite['pass'] else 'FAIL'}")
     print(json.dumps(report, sort_keys=True))
@@ -449,9 +453,7 @@ def run_gen(args) -> int:
             "noise_std": args.noise_std, "test_fraction": args.test_fraction,
             "seed": args.seed, "alpha": prob.alpha,
         }
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "meta.json", meta)
     print(json.dumps(meta, sort_keys=True))
     return 0
 
@@ -462,8 +464,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_expand_config(raw))
         return args.func(args)
-    except SystemExit:
-        raise
     except Exception as exc:  # surfaced as machine-readable JSON, exit 2
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):

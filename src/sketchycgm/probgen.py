@@ -56,10 +56,6 @@ class SyntheticPhaseSpec:
         if self.noise_kind != "none" and not self.snr_db > 0:
             raise ValueError("snr_db must be positive for noisy instances")
 
-    @property
-    def d(self) -> int:
-        return self.views * self.n
-
 
 @dataclass(frozen=True)
 class SyntheticCompletionSpec:
@@ -206,6 +202,7 @@ def gen_completion_problem(
 
     n_test = int(round(spec.test_fraction * count))
     n_test = min(n_test, count - 1)  # keep at least one training entry
+    # one permutation of distinct entries: the two sets are disjoint by construction
     perm = mrng.permutation(count)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     # row-major order is the operator's fast layout: one row run per occupied row
@@ -234,7 +231,5 @@ def gen_completion_problem(
             cols=cols[test_idx],
             values=values[test_idx],
             loss_kind=loss_kind,
-            train_rows=rows[train_idx],
-            train_cols=cols[train_idx],
         )
     return prob, (G1, G2), eval_spec

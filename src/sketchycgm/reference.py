@@ -56,7 +56,10 @@ class EvalSpec:
 
     loss_kind picks the entrywise penalty for test_error. When the training
     index set is supplied the constructor enforces that the two sets are
-    disjoint; it is not kept.
+    disjoint; it is not kept, so a copy made with dataclasses.replace is not
+    re-checked against training entries. replace reads the training
+    arguments' None defaults from the class attributes dataclasses leave
+    for them.
     """
 
     rows: np.ndarray

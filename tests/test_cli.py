@@ -109,6 +109,24 @@ def test_config_file_expansion_and_override(tmp_path, capsys):
     assert _last_json(lines2)["iters"] == 0
 
 
+@pytest.mark.parametrize("nested", [False, True])
+def test_second_config_is_refused(tmp_path, capsys, nested):
+    # only the splice reads --config, so a second one, given as a flag or
+    # as a config line, is an unknown argument rather than silently dropped
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    second.write_text("max-iters = 0\n")
+    argv = ["solve", "--problem", "phase", "--n", "16", "--views", "4", "--config", str(first)]
+    if nested:
+        first.write_text(f"max-iters = 2\nconfig = {second}\n")
+    else:
+        first.write_text("max-iters = 2\n")
+        argv += ["--config", str(second)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_config_value_false_is_passed_on(tmp_path, capsys):
     # every line becomes --key value, so a non-numeric alpha is refused
     # instead of being dropped in favour of the generated one

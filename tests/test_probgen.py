@@ -20,9 +20,6 @@ def _realized_snr_db(clean, noisy):
 
 
 class TestPhaseGenerator:
-    def test_spec_d(self):
-        assert SyntheticPhaseSpec(n=64, views=10).d == 640
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticPhaseSpec(n=0)

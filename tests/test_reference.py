@@ -297,6 +297,13 @@ class TestTestError:
         with pytest.raises(TypeError):
             EvalSpec(rows=[0], cols=[0], values=[1.0], **unread)
 
+    def test_replace_copies_without_training_indices(self):
+        # replace reads the training InitVars' None defaults off the class
+        spec = EvalSpec(rows=[0], cols=[0], values=[1.0], train_rows=[1], train_cols=[1])
+        copy = replace(spec, values=[2.0])
+        assert copy.values.tolist() == [2.0]
+        assert copy.rows.tolist() == [0] and copy.cols.tolist() == [0]
+
     def test_train_test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             EvalSpec(
