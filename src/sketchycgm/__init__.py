@@ -10,117 +10,22 @@ diffraction for phase retrieval), the four losses, a dense reference
 solver for oracle testing, synthetic problem generators, and a CLI.
 """
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    ImaginaryLeakage,
-    IndexOutOfRange,
-    NoConvergence,
-    NonFiniteInput,
-    ParseError,
-    RankDeficientPsiQ,
-    TooLargeForDense,
-    ZeroGradient,
-    ZeroTruth,
-)
-from .losses import HUBER_DELTA, LOSS_KINDS, Loss, POISSON_FLOOR
-from .memory import AllocationLedger, ledger, nscalars
-from .operators import (
-    CodedDiffractionOperator,
-    EntrySamplingOperator,
-    MeasurementOperator,
-    entry_sampling_from_file,
-    read_triples,
-    write_triples,
-)
-from .probgen import (
-    BINARIZE_THRESHOLD,
-    NOISE_KINDS,
-    SyntheticCompletionSpec,
-    SyntheticPhaseSpec,
-    gen_completion_problem,
-    gen_phase_problem,
-    poisson_photon_scale,
-)
-from .reference import (
-    EvalSpec,
-    cgm_dense_solve,
-    dense_adjoint,
-    eps_rank,
-    measure_dense,
-    phase_aligned_error,
-    psnr,
-    record_spectra,
-    save_spectra_csv,
-    test_error,
-)
-from .sketch import FactoredMatrix, Sketch
-from .solver import (
-    IterationRecord,
-    ProblemSpec,
-    SolverState,
-    init_state,
-    learning_rate,
-    solve,
-    update_direction,
-)
-from .spectral import ImplicitGradientMatrix, SpectralConfig, max_sing_vec, min_eig
+# each module's __all__ is the one list of its public names; cli, the
+# console entry point, stays out of the package namespace
+from . import errors, losses, memory, operators, probgen, reference, sketch, solver, spectral
+from .errors import *
+from .losses import *
+from .memory import *
+from .operators import *
+from .probgen import *
+from .reference import *
+from .sketch import *
+from .solver import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationLedger",
-    "CodedDiffractionOperator",
-    "DimensionMismatch",
-    "DomainError",
-    "EntrySamplingOperator",
-    "EvalSpec",
-    "FactoredMatrix",
-    "HUBER_DELTA",
-    "ImaginaryLeakage",
-    "ImplicitGradientMatrix",
-    "IndexOutOfRange",
-    "IterationRecord",
-    "LOSS_KINDS",
-    "Loss",
-    "POISSON_FLOOR",
-    "MeasurementOperator",
-    "NoConvergence",
-    "NonFiniteInput",
-    "ParseError",
-    "ProblemSpec",
-    "RankDeficientPsiQ",
-    "Sketch",
-    "SolverState",
-    "SpectralConfig",
-    "SyntheticCompletionSpec",
-    "SyntheticPhaseSpec",
-    "BINARIZE_THRESHOLD",
-    "NOISE_KINDS",
-    "poisson_photon_scale",
-    "TooLargeForDense",
-    "ZeroGradient",
-    "ZeroTruth",
-    "cgm_dense_solve",
-    "dense_adjoint",
-    "entry_sampling_from_file",
-    "eps_rank",
-    "gen_completion_problem",
-    "gen_phase_problem",
-    "init_state",
-    "learning_rate",
-    "ledger",
-    "max_sing_vec",
-    "measure_dense",
-    "min_eig",
-    "nscalars",
-    "phase_aligned_error",
-    "psnr",
-    "read_triples",
-    "record_spectra",
-    "save_spectra_csv",
-    "solve",
-    "test_error",
-    "update_direction",
-    "write_triples",
+    *errors.__all__, *losses.__all__, *memory.__all__, *operators.__all__, *probgen.__all__,
+    *reference.__all__, *sketch.__all__, *solver.__all__, *spectral.__all__,
 ]

@@ -12,8 +12,9 @@ line, and explicit flags override the file. Only that expansion reads
 --config; no subcommand declares it, so a second --config, or a config line
 naming another file, reaches argparse as an unknown flag and exits 2. A
 flag that mirrors a library setting takes its default from the dataclass
-that owns it. Runs are reproducible bit for bit given the same config and
-seeds, wall-clock fields excepted. Failures exit nonzero after printing a
+that owns it. Runs are reproducible bit for bit given the same config,
+seeds and BLAS thread count (threaded BLAS reductions round differently),
+wall-clock fields excepted. Failures exit nonzero after printing a
 machine-readable error JSON.
 
 Storage is measured in live scalar counts through the allocation ledger

@@ -1,5 +1,19 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "DimensionMismatch",
+    "NonFiniteInput",
+    "DomainError",
+    "IndexOutOfRange",
+    "ParseError",
+    "ImaginaryLeakage",
+    "RankDeficientPsiQ",
+    "ZeroGradient",
+    "NoConvergence",
+    "TooLargeForDense",
+    "ZeroTruth",
+]
+
 
 class DimensionMismatch(ValueError):
     """Shapes of the inputs are incompatible."""

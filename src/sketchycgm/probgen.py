@@ -30,6 +30,7 @@ __all__ = [
     "gen_phase_problem",
     "gen_completion_problem",
     "poisson_photon_scale",
+    "NOISE_KINDS",
     "BINARIZE_THRESHOLD",
 ]
 

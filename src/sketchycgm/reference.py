@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLargeForDense, ZeroTruth
+from .errors import DimensionMismatch, IndexOutOfRange, TooLargeForDense, ZeroTruth
 from .losses import LOSS_KINDS, Loss
 from .memory import ledger, nscalars
 from .sketch import FactoredMatrix
@@ -54,12 +54,13 @@ DENSE_GUARD = 1_000_000  # max m*n the dense oracle will touch
 class EvalSpec:
     """Held-out entries (rows, cols, values) and the penalty that scores them.
 
-    loss_kind picks the entrywise penalty for test_error. When the training
-    index set is supplied the constructor enforces that the two sets are
-    disjoint; it is not kept, so a copy made with dataclasses.replace is not
-    re-checked against training entries. replace reads the training
-    arguments' None defaults from the class attributes dataclasses leave
-    for them.
+    Indices are 0-based and never negative; test_error checks their upper
+    bounds against the factors. loss_kind picks the entrywise penalty for
+    test_error. When the training index set is supplied the constructor
+    enforces that the two sets are disjoint; it is not kept, so a copy made
+    with dataclasses.replace is not re-checked against training entries.
+    replace reads the training arguments' None defaults from the class
+    attributes dataclasses leave for them.
     """
 
     rows: np.ndarray
@@ -77,6 +78,8 @@ class EvalSpec:
             raise ValueError("test set is empty")
         if not (self.rows.shape == self.cols.shape == self.values.shape):
             raise DimensionMismatch("rows, cols, values must have equal length")
+        if self.rows.min() < 0 or self.cols.min() < 0:
+            raise IndexOutOfRange("held-out indices must be non-negative")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if (train_rows is None) != (train_cols is None):

@@ -9,6 +9,7 @@ from sketchycgm import (
     DimensionMismatch,
     EvalSpec,
     FactoredMatrix,
+    IndexOutOfRange,
     SyntheticPhaseSpec,
     TooLargeForDense,
     ZeroTruth,
@@ -291,6 +292,12 @@ class TestTestError:
         spec = EvalSpec(rows=[5], cols=[0], values=[1.0])
         with pytest.raises(DimensionMismatch):
             heldout_error(f, spec)
+
+    @pytest.mark.parametrize("rows, cols", [([-1], [0]), ([0], [-1])])
+    def test_negative_index_rejected(self, rows, cols):
+        # numpy would read -1 as the last row or column
+        with pytest.raises(IndexOutOfRange):
+            EvalSpec(rows=rows, cols=cols, values=[1.0])
 
     @pytest.mark.parametrize("unread", [{"eps": 1e-2}, {"truth": np.zeros(1)}])
     def test_unread_fields_are_gone(self, unread):

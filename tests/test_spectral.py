@@ -254,12 +254,13 @@ class TestReorthogonalization:
         # step's vector is roundoff that one pass cancels almost entirely
         A = np.random.default_rng(12).standard_normal((300, 8))
         H = -(A @ A.T)
+        # at tol 1e-16 no Ritz check can stop the call before the space runs
+        # out, whatever the check cadence
         rows = _gram_schmidt_passes(monkeypatch)
-        tol = 1e-10
-        lam, u = min_eig(H, tol=tol)
+        lam, u = min_eig(H, tol=1e-16)
         w = np.linalg.eigvalsh(H)
         assert lam == pytest.approx(w[0], rel=1e-10)
-        assert np.linalg.norm(H @ u - lam * u) <= tol * np.abs(w).max()
+        assert np.linalg.norm(H @ u - lam * u) <= 1e-10 * np.abs(w).max()
         assert _repeated_passes(rows) >= 1
 
     def test_one_pass_while_the_space_grows(self, monkeypatch):
@@ -295,11 +296,11 @@ class TestRestart:
         rows = _gram_schmidt_passes(monkeypatch)
         charges = recorded_charges(monkeypatch)
         with pytest.raises(NoConvergence):
-            min_eig(self._matrix(), tol=1e-14, max_iters=50)
-        # one Gram-Schmidt pass per step, so 50 steps; each cycle's first
+            min_eig(self._matrix(), tol=1e-14, max_iters=self.CAP + 2)
+        # one Gram-Schmidt pass per step, so CAP + 2 steps; each cycle's first
         # step sees a one-row basis, so 2 cycles, the second cut short
         assert _repeated_passes(rows) == 0
-        assert len(rows) == 50
+        assert len(rows) == self.CAP + 2
         assert rows.count(1) == 2
         assert charges == [self.CHARGE]
 
