@@ -92,4 +92,6 @@ class Loss:
         else:  # poisson
             zc = np.maximum(z, POISSON_FLOOR)
             g = 1.0 - b / zc
-        return self.normalization * g
+        # every branch made g afresh, so it scales in place
+        g *= self.normalization
+        return g

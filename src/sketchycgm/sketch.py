@@ -15,11 +15,17 @@ m-by-n intermediate.
 
 A sketch built with ``psd=True`` shadows a psd matrix and is the one-sided
 Nystrom sketch of Tropp, Yurtsever, Udell and Cevher (NeurIPS 2017): the
-co-range is empty and Omega takes its storage as range columns,
-min(k + ell, n) = min(6r + 4, n) of them, so both sketches hold the same
-number of scalars. Reconstruction is the shifted Nystrom approximation
+co-range is empty and Omega takes its columns, min(k + ell, n) =
+min(6r + 4, n) of them. Reconstruction is the shifted Nystrom approximation
 Y_nu (Omega* Y_nu)^+ Y_nu* - nu I with Y_nu = Y + nu Omega, truncated to
 rank r, which is psd by construction.
+
+Omega is never stored: it is drawn again from the seed each time an update
+or a Nystrom reconstruction needs it, bit for bit the matrix drawn first.
+The sketch stores Y, W and Psi, width*(m k + ell n + ell m) scalars for
+width 1 (real) or 2 (complex); the psd sketch stores Y alone, width*n*k.
+Psi follows Omega in the seed's stream, so a two-sided sketch draws Omega
+once at construction to reach it.
 """
 
 from __future__ import annotations
@@ -109,6 +115,24 @@ class FactoredMatrix:
         return cls(U, S, V)
 
 
+def _gaussian(rng, shape, field) -> np.ndarray:
+    """Standard Gaussian test matrix of the given field drawn from rng.
+
+    A complex draw is (x + 1j y) / sqrt(2), x drawn before y. Each part is
+    scaled on its own, in one buffer; that gives the bits of
+    scale * (x + 1j * y), whose complex products only add exact zeros.
+    """
+    if field != np.complex128:
+        return rng.standard_normal(shape)
+    scale = 1.0 / np.sqrt(2.0)
+    out = np.empty(shape, dtype=field)
+    part = rng.standard_normal(shape)
+    np.multiply(part, scale, out=out.real)
+    rng.standard_normal(out=part)
+    np.multiply(part, scale, out=out.imag)
+    return out
+
+
 def _write_matrix_csv(path, M) -> None:
     # complex values go out as paired (re, im) columns
     M = np.atleast_2d(np.asarray(M))
@@ -137,8 +161,9 @@ class Sketch:
 
     Shadows an m-by-n matrix at target rank r, all three kept as
     attributes. Two-sided by default; ``psd=True`` builds the Nystrom sketch
-    of a psd matrix, which needs m = n. ``scalars`` counts the stored test
-    matrices and shadows; a solve charges it while it holds the sketch.
+    of a psd matrix, which needs m = n. ``scalars`` counts the stored
+    shadows Y, W and Psi; a solve charges it while it holds the sketch, and
+    an update or reconstruction charges the Omega it draws while it holds it.
     """
 
     def __init__(self, m: int, n: int, r: int, field="real", seed=0, psd: bool = False):
@@ -154,21 +179,24 @@ class Sketch:
             if m != n:
                 raise DimensionMismatch("a psd sketch needs a square matrix")
             k, ell = min(k + ell, n), 0
-        rng = np.random.default_rng(seed)
-        if self.field == np.complex128:
-            scale = 1.0 / np.sqrt(2.0)
-            self.Omega = scale * (
-                rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-            )
-            self.Psi = scale * (
-                rng.standard_normal((ell, m)) + 1j * rng.standard_normal((ell, m))
-            )
+        # held as a SeedSequence, so that seed=None takes its entropy once and
+        # every later draw of Omega repeats the first
+        self.k, self.seed = k, np.random.SeedSequence(seed)
+        if psd:
+            self.Psi = np.zeros((0, m), dtype=self.field)
         else:
-            self.Omega = rng.standard_normal((n, k))
-            self.Psi = rng.standard_normal((ell, m))
+            # Psi follows Omega in the seed's stream
+            rng = np.random.default_rng(self.seed)
+            _gaussian(rng, (n, k), self.field)
+            self.Psi = _gaussian(rng, (ell, m), self.field)
         self.Y = np.zeros((m, k), dtype=self.field)
         self.W = np.zeros((ell, n), dtype=self.field)
-        self.scalars = nscalars(self.Omega, self.Psi, self.Y, self.W)
+        self.scalars = nscalars(self.Psi, self.Y, self.W)
+
+    @property
+    def Omega(self) -> np.ndarray:
+        """The n-by-k range test matrix, drawn again from the seed."""
+        return _gaussian(np.random.default_rng(self.seed), (self.n, self.k), self.field)
 
     def _check_pair(self, u, v):
         u = np.asarray(u)
@@ -188,10 +216,23 @@ class Sketch:
         u, v = self._check_pair(u, v)
         if not (np.isfinite(beta1) and np.isfinite(beta2)):
             raise NonFiniteInput("update coefficients must be finite")
-        self.Y *= beta1
-        self.Y += beta2 * np.outer(u, np.conj(v) @ self.Omega)
-        self.W *= beta1
-        self.W += beta2 * np.outer(self.Psi @ u, np.conj(v))
+        width = 2 if self.field == np.complex128 else 1
+        m, n, k, ell = self.m, self.n, self.k, self.Psi.shape[0]
+        # an upper bound on the arrays live at once: the draw of Omega (a
+        # complex one also holds a real part), then Omega beside conj(v), then
+        # the two m x k or the two ell x n rank-one products beside their
+        # factors, all beside the k-vector conj(v) Omega
+        draw = 3 * n * k if width == 2 else n * k
+        scratch = max(draw, width * (n * k + n), width * 2 * m * k,
+                      width * (2 * ell * n + ell + n)) + width * k
+        with ledger.track("sketch", scratch):
+            Omega = self.Omega
+            vo = np.conj(v) @ Omega
+            del Omega
+            self.Y *= beta1
+            self.Y += beta2 * np.outer(u, vo)
+            self.W *= beta1
+            self.W += beta2 * np.outer(self.Psi @ u, np.conj(v))
 
     def cgm_update(self, u, v, eta: float) -> None:
         """Shadow the convex-combination update X <- (1 - eta) X + eta u v*."""
@@ -214,7 +255,7 @@ class Sketch:
         if self.psd:
             return self._nystrom()
         width = 2 if self.field == np.complex128 else 1
-        k, ell = self.Omega.shape[1], self.Psi.shape[0]
+        k, ell = self.k, self.Psi.shape[0]
         # an upper bound on the arrays live at once: the QR of Y (two m x k),
         # the k x n solve B beside U* W and then beside Vh, the small factors
         # of Psi Q and B, and the rank-r result
@@ -236,21 +277,23 @@ class Sketch:
         return FactoredMatrix(U, S, V)
 
     def _nystrom(self) -> FactoredMatrix:
-        n, r = self.n, self.r
-        k = self.Omega.shape[1]
+        n, r, k = self.n, self.r, self.k
         width = 2 if self.field == np.complex128 else 1
-        # an upper bound on the arrays live at once: Y_nu beside the conjugate
-        # of Omega or the factor F, F beside its left singular vectors, the
-        # rank-r result, and the k x k matrices
-        scratch = width * (2 * n * k + n * r + 3 * k * k)
+        # an upper bound on the arrays live at once: Omega beside Y_nu and the
+        # conjugate of Omega (its draw holds less), Y_nu beside the
+        # factor F, F beside its left singular vectors, the rank-r result, and
+        # the k x k matrices
+        scratch = width * (3 * n * k + n * r + 3 * k * k)
         with ledger.track("sketch", scratch):
             # the shift keeps Omega* Y_nu positive definite; nu comes off again below
             nu = np.sqrt(n) * np.finfo(float).eps * np.linalg.norm(self.Y, 2)
-            Ynu = nu * self.Omega
+            Omega = self.Omega
+            Ynu = nu * Omega
             Ynu += self.Y
             # eigh reads one triangle of the Hermitian Omega* Y_nu; its
             # pseudo-inverse drops eigenvalues below the two-sided solve's cut
-            w, P = np.linalg.eigh(self.Omega.conj().T @ Ynu)
+            w, P = np.linalg.eigh(Omega.conj().T @ Ynu)
+            del Omega
             keep = w > _PSIQ_RCOND * w[-1]
             F = Ynu @ (P[:, keep] / np.sqrt(w[keep]))
             del Ynu
@@ -265,6 +308,6 @@ class Sketch:
 
     def __repr__(self) -> str:
         return (
-            f"Sketch(m={self.m}, n={self.n}, r={self.r}, k={self.Omega.shape[1]}, "
+            f"Sketch(m={self.m}, n={self.n}, r={self.r}, k={self.k}, "
             f"ell={self.Psi.shape[0]}, field={self.field.name}, psd={self.psd})"
         )

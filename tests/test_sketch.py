@@ -13,6 +13,7 @@ from sketchycgm import (
     NonFiniteInput,
     RankDeficientPsiQ,
     Sketch,
+    ledger,
 )
 from helpers import recorded_charges
 
@@ -148,14 +149,59 @@ def test_psd_reconstruction_pads_to_rank():
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_psd_sketch_holds_the_two_sided_storage(field):
-    charges = []
-    for psd in (False, True):
-        sk = Sketch(64, 64, 2, field=field, seed=0, psd=psd)
-        charges.append(sk.scalars)
-        assert sk.Psi.size == sk.W.size == (0 if psd else 64 * (4 * 2 + 3))
+def test_sketch_stores_its_shadows_and_psi(field):
+    # Omega is drawn again when needed, so neither sketch counts it
+    m, n, r = 48, 64, 2
+    k, ell = 2 * r + 1, 4 * r + 3
     width = 2 if field == "complex" else 1
-    assert charges[0] == charges[1] == width * 2 * 64 * (6 * 2 + 4)
+    two_sided = Sketch(m, n, r, field=field, seed=0)
+    assert two_sided.scalars == width * (m * k + ell * n + ell * m)
+    psd = Sketch(n, n, r, field=field, seed=0, psd=True)
+    assert psd.Psi.size == psd.W.size == 0
+    assert psd.scalars == width * n * (k + ell)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("psd", [False, True])
+def test_omega_is_the_construction_time_draw(psd, field):
+    # the expression that drew Omega and then Psi at construction, and kept both
+    m, n, r, seed = 40, 30, 2, 17
+    k = min(6 * r + 4, n) if psd else 2 * r + 1
+    ell = 0 if psd else 4 * r + 3
+    rng = np.random.default_rng(seed)
+    if field == "complex":
+        scale = 1.0 / np.sqrt(2.0)
+        omega = scale * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        psi = scale * (rng.standard_normal((ell, n if psd else m))
+                       + 1j * rng.standard_normal((ell, n if psd else m)))
+    else:
+        omega = rng.standard_normal((n, k))
+        psi = rng.standard_normal((ell, n if psd else m))
+    sk = Sketch(n if psd else m, n, r, field=field, seed=seed, psd=psd)
+    for _ in range(2):
+        assert sk.Omega.dtype == omega.dtype and sk.Omega.tobytes() == omega.tobytes()
+    assert sk.Psi.dtype == psi.dtype and sk.Psi.tobytes() == psi.tobytes()
+    # no attribute keeps Omega: the only n x k array is the psd sketch's Y
+    held = [name for name, a in vars(sk).items()
+            if isinstance(a, np.ndarray) and a.shape == (n, k)]
+    assert held == (["Y"] if psd else [])
+    with pytest.raises(AttributeError):
+        sk.Omega = omega
+
+
+def test_unseeded_sketch_draws_one_omega():
+    # seed=None takes fresh entropy once; the updates and the reconstruction
+    # must all see the same Omega
+    sk = Sketch(25, 18, 3, field="real", seed=None)
+    np.testing.assert_array_equal(sk.Omega, sk.Omega)
+    rng = np.random.default_rng(8)
+    X = np.zeros((25, 18))
+    for _ in range(3):
+        u, v = _rand_pair(rng, 25, 18, False)
+        sk.linear_update(1.0, 1.0, u, v)
+        X += np.outer(u, v)
+    np.testing.assert_allclose(sk.Y, X @ sk.Omega, atol=1e-10)
+    assert np.linalg.norm(X - sk.reconstruct().dense()) <= 1e-10 * np.linalg.norm(X)
 
 
 def test_psd_reconstruction_needs_square():
@@ -213,6 +259,39 @@ def test_reconstruct_charge_bounds_traced_peak(monkeypatch, m, n, r, psd, field)
     traced = (peak - start) / 8
     assert tag == "sketch"
     assert traced <= charged <= 2 * traced
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "m, n, r, psd", [(2000, 1500, 5, False), (600, 900, 3, False), (1000, 1000, 4, True)]
+)
+def test_linear_update_charge_bounds_traced_peak(monkeypatch, m, n, r, psd, field):
+    # the update charges the Omega it draws and its rank-one products while
+    # it holds them, and the charge is within a factor two of the traced
+    # peak. The ledger counts arrays: numpy's iterator buffers (one
+    # per broadcast input of an outer product) and the interpreter's own
+    # objects are outside it, and they do not grow with the sketch
+    uncounted = 2 * np.getbufsize() + 1024
+    rng = np.random.default_rng(13)
+    sk = Sketch(m, n, r, field=field, seed=4, psd=psd)
+    u, v = _rand_pair(rng, m, n, field == "complex")
+    if psd:
+        v = u
+    sk.linear_update(1.0, 1.0, u, v)
+    before = ledger.live()
+    charges = recorded_charges(monkeypatch)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sk.linear_update(0.9, 1.0, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ledger.live() == before
+    [(tag, charged)] = charges
+    traced = (peak - start) / 8
+    assert tag == "sketch"
+    assert traced - uncounted <= charged <= 2 * traced
 
 
 class TestFactoredMatrix:

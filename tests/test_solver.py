@@ -226,6 +226,21 @@ def test_iteration_cap_is_not_an_error():
         solve(prob, strict=True)
 
 
+def test_psd_solve_peak_holds_no_range_test_matrix():
+    # the peak is the oracle's: operator, loss data, z beside the gradient,
+    # the sketch's Y and the Krylov basis. The sketch stores no Omega; an
+    # update draws it again, and its charge stays below the basis
+    n = 256
+    prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=n, views=10), rank=1,
+                                eps=1e-300, max_iters=3)
+    d, k = prob.op.d, 6 * 1 + 4
+    cap = min(sketchycgm.spectral._KRYLOV_DIM, prob.spectral.max_iters, n)
+    ledger.reset()
+    solve(prob)
+    # coded diffraction is complex: two scalars per entry
+    assert ledger.peak == prob.op.scalars + d + 2 * d + 2 * n * k + (2 * n * cap + 4 * cap)
+
+
 def test_back_to_back_solves_release_the_sketch():
     prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=16, views=6), max_iters=20)
     before = ledger.live()
