@@ -16,7 +16,7 @@ __all__ = [
 
 
 class DimensionMismatch(ValueError):
-    """Shapes of the inputs are incompatible."""
+    """Shapes or fields of the inputs are incompatible."""
 
 
 class NonFiniteInput(ValueError):

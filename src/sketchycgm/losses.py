@@ -8,6 +8,8 @@ phase-retrieval-style objectives):
     huber      quadratic within +-HUBER_DELTA of b, linear outside
     logistic   log(1 + exp(-b z)),  labels b in {-1, +1}
     poisson    z - b log z,         counts b >= 0, z clamped below
+
+Losses are real: complex measurements or z raise ``DimensionMismatch``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ HUBER_DELTA = 1.0
 POISSON_FLOOR = 1e-12
 
 
+def _real(x, name: str) -> np.ndarray:
+    if np.iscomplexobj(x):
+        raise DimensionMismatch(f"{name} is complex; real values are required")
+    return np.asarray(x, dtype=float)
+
+
 @dataclass(eq=False)
 class Loss:
     kind: str
@@ -37,7 +45,7 @@ class Loss:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        b = np.asarray(self.b, dtype=float).ravel()
+        b = _real(self.b, "measurement vector").ravel()
         if b.size == 0:
             raise DimensionMismatch("measurement vector is empty")
         if not np.all(np.isfinite(b)):
@@ -55,7 +63,7 @@ class Loss:
         return self.b.size
 
     def _check(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+        z = _real(z, "z")
         if z.shape != self.b.shape:
             raise DimensionMismatch(f"z has shape {z.shape}, expected {self.b.shape}")
         if not np.all(np.isfinite(z)):

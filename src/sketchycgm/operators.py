@@ -20,6 +20,10 @@ diffraction measures quadratic forms diag(A X A*) for a tall sensing
 matrix A applied by FFT; A is never built densely. Operators are immutable
 after construction and store Theta(d) parameters.
 
+A real-field operator such as entry sampling refuses a complex vector with
+``DimensionMismatch``, as the real-field sketch and the losses do; coded
+diffraction, a complex-field operator, takes real or complex vectors.
+
 Entry sampling keeps the caller's measurement order and is fastest on a
 row-grouped index set (row-major order, as the loaders and the completion
 generator give): it then stores about d index scalars. Unsorted input stays
@@ -40,6 +44,7 @@ from .errors import (
     NonFiniteInput,
     ParseError,
 )
+from .losses import _real
 from .memory import nscalars
 
 __all__ = [
@@ -54,30 +59,6 @@ __all__ = [
 # psd measurements whose imaginary part exceeds this share of their norm
 # come from a non-Hermitian operator and are rejected
 _LEAKAGE_RTOL = 1e-8
-
-
-def _check_vector(x, size: int, name: str, finite: bool = True) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape != (size,):
-        raise DimensionMismatch(f"{name} has shape {x.shape}, expected ({size},)")
-    if finite and not np.all(np.isfinite(x)):
-        raise NonFiniteInput(f"{name} contains non-finite entries")
-    return x
-
-
-def _times(z: np.ndarray, picked: np.ndarray) -> np.ndarray:
-    """z * picked, written over the fresh gather ``picked`` when its dtype can hold it."""
-    picked = picked.astype(np.result_type(z, picked), copy=False)
-    return np.multiply(z, picked, out=picked)
-
-
-def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    # np.bincount only takes real weights
-    if np.iscomplexobj(weights):
-        return np.bincount(idx, weights.real, size) + 1j * np.bincount(
-            idx, weights.imag, size
-        )
-    return np.bincount(idx, weights, size)
 
 
 class MeasurementOperator:
@@ -96,6 +77,17 @@ class MeasurementOperator:
         self.n = int(n)
         self.d = int(d)
         self.field = np.dtype(field)
+
+    def _check_vector(self, x, size: int, name: str, finite: bool = True) -> np.ndarray:
+        """x as a size-vector; a real field refuses complex x and takes real x as float."""
+        x = np.asarray(x)
+        if x.shape != (size,):
+            raise DimensionMismatch(f"{name} has shape {x.shape}, expected ({size},)")
+        if self.field.kind != "c":
+            x = _real(x, name)
+        if finite and not np.all(np.isfinite(x)):
+            raise NonFiniteInput(f"{name} contains non-finite entries")
+        return x
 
     def apply_rank_one(self, u, v) -> np.ndarray:
         """Measurements of the rank-one matrix with entries u_i * conj(v_j)."""
@@ -183,21 +175,22 @@ class EntrySamplingOperator(MeasurementOperator):
         return np.repeat(u[self.run_rows], self.run_lengths)
 
     def apply_rank_one(self, u, v) -> np.ndarray:
-        u = _check_vector(u, self.m, "u")
-        v = _check_vector(v, self.n, "v")
-        return self._expand(u) * np.conj(v[self.cols])
+        u = self._check_vector(u, self.m, "u")
+        v = self._check_vector(v, self.n, "v")
+        return self._expand(u) * v[self.cols]
 
     def left_apply_adjoint(self, z, u) -> np.ndarray:
-        z = _check_vector(z, self.d, "z", finite=False)
-        u = _check_vector(u, self.m, "u", finite=False)
-        picked = self._expand(np.conj(u) if np.iscomplexobj(u) else u)
-        return _bincount(self.cols, _times(z, picked), self.n)
+        z = self._check_vector(z, self.d, "z", finite=False)
+        u = self._check_vector(u, self.m, "u", finite=False)
+        picked = self._expand(u)
+        return np.bincount(self.cols, np.multiply(z, picked, out=picked), self.n)
 
     def right_apply_adjoint(self, z, v) -> np.ndarray:
-        z = _check_vector(z, self.d, "z", finite=False)
-        v = _check_vector(v, self.n, "v", finite=False)
-        run_sums = np.add.reduceat(_times(z, v[self.cols]), self.run_starts)
-        return _bincount(self.run_rows, run_sums, self.m)
+        z = self._check_vector(z, self.d, "z", finite=False)
+        v = self._check_vector(v, self.n, "v", finite=False)
+        picked = v[self.cols]
+        run_sums = np.add.reduceat(np.multiply(z, picked, out=picked), self.run_starts)
+        return np.bincount(self.run_rows, run_sums, self.m)
 
 
 class CodedDiffractionOperator(MeasurementOperator):
@@ -237,8 +230,8 @@ class CodedDiffractionOperator(MeasurementOperator):
         return (np.conj(self.modulations) * blocks).sum(axis=0)
 
     def apply_rank_one(self, u, v) -> np.ndarray:
-        u = _check_vector(u, self.m, "u")
-        v = _check_vector(v, self.n, "v")
+        u = self._check_vector(u, self.m, "u")
+        v = self._check_vector(v, self.n, "v")
         au = self._sense(u)
         # psd_measure's u u* senses its one vector once
         av = au if v is u else self._sense(v)
@@ -257,13 +250,13 @@ class CodedDiffractionOperator(MeasurementOperator):
         return buf.sum(axis=0)
 
     def left_apply_adjoint(self, z, u) -> np.ndarray:
-        z = _check_vector(z, self.d, "z", finite=False)
-        u = _check_vector(u, self.m, "u", finite=False)
+        z = self._check_vector(z, self.d, "z", finite=False)
+        u = self._check_vector(u, self.m, "u", finite=False)
         return self._conj_gram(np.conj(z) if np.iscomplexobj(z) else z, u)
 
     def right_apply_adjoint(self, z, v) -> np.ndarray:
-        z = _check_vector(z, self.d, "z", finite=False)
-        v = _check_vector(v, self.n, "v", finite=False)
+        z = self._check_vector(z, self.d, "z", finite=False)
+        v = self._check_vector(v, self.n, "v", finite=False)
         out = self._conj_gram(z, v)
         return np.conj(out, out=out)
 
@@ -327,6 +320,4 @@ def entry_sampling_from_file(path, m: int | None = None, n: int | None = None):
     rows, cols, values = rows[order], cols[order], values[order]
     m = int(rows.max()) + 1 if m is None else int(m)
     n = int(cols.max()) + 1 if n is None else int(n)
-    if rows.max() >= m or cols.max() >= n:
-        raise IndexOutOfRange("triple index outside the declared dimensions")
     return EntrySamplingOperator(m, n, rows, cols), values

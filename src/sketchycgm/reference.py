@@ -12,8 +12,9 @@ minimization oracle as the sketched solver, warm-started the same way, so
 the run shadows the sketched one bit for bit; spectral_mode="dense" swaps
 in full factorizations for runs that must reach very small gaps without
 iterative-solver stalls. Either way the extreme pair becomes a vertex
-through the one shared ``solver.vertex`` routine. Its callback has solve's shape, callback(record, X), with X the
-dense iterate: a live view, to copy before storing.
+through the one shared ``solver.vertex`` routine. Its callback has solve's
+shape, callback(record, X), with X the dense iterate: a live view, to copy
+before storing.
 
 Metrics: effective rank of a spectrum, phase-aligned relative error for
 phase retrieval, PSNR, and held-out entrywise test error evaluated from
@@ -27,7 +28,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLargeForDense, ZeroTruth
-from .losses import LOSS_KINDS, Loss
+from .losses import LOSS_KINDS, Loss, _real
 from .memory import ledger, nscalars
 from .sketch import FactoredMatrix
 from .solver import Direction, ProblemSpec, _cgm_loop, _initial_z, update_direction, vertex
@@ -54,13 +55,13 @@ DENSE_GUARD = 1_000_000  # max m*n the dense oracle will touch
 class EvalSpec:
     """Held-out entries (rows, cols, values) and the penalty that scores them.
 
-    Indices are 0-based and never negative; test_error checks their upper
-    bounds against the factors. loss_kind picks the entrywise penalty for
-    test_error. When the training index set is supplied the constructor
-    enforces that the two sets are disjoint; it is not kept, so a copy made
-    with dataclasses.replace is not re-checked against training entries.
-    replace reads the training arguments' None defaults from the class
-    attributes dataclasses leave for them.
+    Values are real and indices 0-based and never negative; test_error
+    checks the indices' upper bounds against the factors. loss_kind picks
+    the entrywise penalty for test_error. When the training index set is
+    supplied the constructor enforces that the two sets are disjoint; it is
+    not kept, so a copy made with dataclasses.replace is not re-checked
+    against training entries. replace reads the training arguments' None
+    defaults from the class attributes dataclasses leave for them.
     """
 
     rows: np.ndarray
@@ -73,7 +74,7 @@ class EvalSpec:
     def __post_init__(self, train_rows, train_cols):
         self.rows = np.asarray(self.rows, dtype=np.intp)
         self.cols = np.asarray(self.cols, dtype=np.intp)
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = _real(self.values, "values")
         if self.rows.size == 0:
             raise ValueError("test set is empty")
         if not (self.rows.shape == self.cols.shape == self.values.shape):
@@ -253,12 +254,9 @@ def psnr(xhat, x, peak: float) -> float:
 
 
 def test_error(factors: FactoredMatrix, spec: EvalSpec) -> float:
-    """Mean entrywise penalty on held-out entries, straight from factors."""
+    """Mean entrywise penalty on held-out entries, straight from real factors."""
     m, n = factors.shape
     if spec.rows.size and (spec.rows.max() >= m or spec.cols.max() >= n):
         raise DimensionMismatch("test indices exceed the factor shape")
-    pred = factors.entries(spec.rows, spec.cols)
-    if np.iscomplexobj(pred):
-        pred = pred.real
     probe = Loss(spec.loss_kind, spec.values, normalization=1.0 / spec.values.size)
-    return float(probe.value(pred))
+    return float(probe.value(factors.entries(spec.rows, spec.cols)))

@@ -76,9 +76,9 @@ class ProblemSpec:
 
     template "schatten1" constrains the Schatten-1 norm of X by alpha;
     "psd" constrains to the positive semidefinite cone with trace at most
-    alpha (requires a square domain). rank sets the reconstruction rank of
-    the sketch. Frozen: derive a modified copy with dataclasses.replace,
-    which re-validates.
+    alpha (requires a square domain). rank, in [1, min(m, n)], sets the
+    reconstruction rank of the sketch. Frozen: derive a modified copy with
+    dataclasses.replace, which re-validates.
     """
 
     op: MeasurementOperator
@@ -98,8 +98,9 @@ class ProblemSpec:
             raise ValueError("alpha must be positive and finite")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be positive and finite")
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        top = min(self.op.m, self.op.n)
+        if not 1 <= self.rank <= top:
+            raise ValueError(f"rank {self.rank} must lie in [1, min(m, n)] = [1, {top}]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.loss.d != self.op.d:

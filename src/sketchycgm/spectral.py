@@ -104,7 +104,7 @@ class ImplicitGradientMatrix:
         self.op = op
         self.g = z
         self.shape = (op.m, op.n)
-        self.iscomplex = np.issubdtype(op.field, np.complexfloating) or np.iscomplexobj(z)
+        self.iscomplex = op.field.kind == "c"
         self.calls = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

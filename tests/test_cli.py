@@ -47,7 +47,8 @@ def test_solve_phase_writes_artifacts(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, name)), name
     with open(os.path.join(out, "summary.json")) as fh:
         assert json.load(fh) == summary
-    header = open(os.path.join(out, "trace.csv")).readline().strip()
+    with open(os.path.join(out, "trace.csv")) as fh:
+        header = fh.readline().strip()
     assert header.startswith("t,eta,gap,objective,wall_ms")
     with open(os.path.join(out, "trace.csv")) as fh:
         rows = list(csv.reader(fh))
@@ -146,6 +147,18 @@ def test_error_payload_on_bad_argument(capsys):
     assert code == 2
     payload = _last_json(lines)
     assert set(payload) >= {"error", "message"}
+
+
+def test_rank_above_min_dim_is_refused_by_name(capsys):
+    code, lines = _run(
+        capsys,
+        ["solve", "--problem", "completion", "--m", "6", "--n", "5",
+         "--true-rank", "2", "--rank", "9"],
+    )
+    assert code == 2
+    payload = _last_json(lines)
+    assert payload["error"] == "ValueError"
+    assert "rank 9" in payload["message"] and "[1, 5]" in payload["message"]
 
 
 def test_variant_override_is_validated(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketchycgm import DomainError, Loss, NonFiniteInput, POISSON_FLOOR
+from sketchycgm import DimensionMismatch, DomainError, Loss, NonFiniteInput, POISSON_FLOOR
 
 
 def central_difference(loss, z, h=1e-6):
@@ -116,6 +116,20 @@ def test_nonfinite_argument_rejected():
     loss = Loss("gauss", [1.0])
     with pytest.raises(NonFiniteInput):
         loss.value([np.inf])
+
+
+def test_complex_measurements_rejected():
+    with pytest.raises(DimensionMismatch, match="complex"):
+        Loss("gauss", [1.0, 2.0 + 1e-3j])
+
+
+def test_complex_argument_rejected():
+    # refused, where a cast to float would drop the imaginary part
+    loss = Loss("gauss", [1.0, 2.0])
+    z = np.array([1.0, 2.0]) + 1j
+    for method in (loss.value, loss.gradient):
+        with pytest.raises(DimensionMismatch, match="complex"):
+            method(z)
 
 
 @settings(deadline=None, max_examples=40)

@@ -88,21 +88,47 @@ class TestEntrySampling:
         ],
         ids=["row-grouped", "interleaved", "one-per-row", "empty-rows"],
     )
-    @pytest.mark.parametrize("complex_uv", [False, True])
-    def test_row_runs_against_dense(self, rows, cols, run_rows, run_lengths, complex_uv):
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_row_runs_against_dense(self, rows, cols, run_rows, run_lengths, complex_input):
         op = EntrySamplingOperator(5, 4, rows, cols)
         np.testing.assert_array_equal(op.run_rows, run_rows)
         np.testing.assert_array_equal(op.run_lengths, run_lengths)
         np.testing.assert_array_equal(op.rows, rows)
-        A = dense_sensing_matrix(op)
         rng = np.random.default_rng(len(run_rows))
-        u, v = _rand_vec(rng, 5, complex_uv), _rand_vec(rng, 4, complex_uv)
+        u, v = rng.standard_normal(5), rng.standard_normal(4)
         z = rng.standard_normal(op.d)
+        if complex_input:
+            # a real-field operator refuses a complex vector in every slot
+            cu, cv, cz = u + 1j * u, v + 1j * v, z + 1j * z
+            calls = [
+                lambda: op.apply_rank_one(cu, v),
+                lambda: op.apply_rank_one(u, cv),
+                lambda: op.left_apply_adjoint(cz, u),
+                lambda: op.left_apply_adjoint(z, cu),
+                lambda: op.right_apply_adjoint(cz, v),
+                lambda: op.right_apply_adjoint(z, cv),
+            ]
+            for call in calls:
+                with pytest.raises(DimensionMismatch, match="complex"):
+                    call()
+            return
+        A = dense_sensing_matrix(op)
         G = adjoint_via_dense(op, z)
         X = np.outer(u, np.conj(v))
         np.testing.assert_allclose(op.apply_rank_one(u, v), A @ X.ravel(), atol=1e-12)
         np.testing.assert_allclose(op.right_apply_adjoint(z, v), G @ v, atol=1e-12)
         np.testing.assert_allclose(op.left_apply_adjoint(z, u), u.conj() @ G, atol=1e-12)
+
+    def test_real_input_is_computed_in_float64(self):
+        op = EntrySamplingOperator(2, 3, [0, 1, 1], [2, 0, 1])
+        z = np.array([1.0, 2.0, 3.0])
+        for got in (
+            op.apply_rank_one(np.array([1, 2]), np.array([3, 4, 5], dtype=np.float32)),
+            op.left_apply_adjoint(z, np.array([1, 2])),
+            op.right_apply_adjoint(z, np.array([1, 2, 3], dtype=np.float32)),
+        ):
+            assert got.dtype == np.float64
+        np.testing.assert_array_equal(op.left_apply_adjoint(z, [1, 2]), [4.0, 6.0, 1.0])
 
     def test_row_grouped_ledger_charge(self):
         # columns plus three scalars per row run, below the 2d of stored row and column indices
@@ -153,6 +179,20 @@ class TestCodedDiffraction:
     def test_against_dense(self):
         rng = np.random.default_rng(3)
         _check_against_dense(CodedDiffractionOperator(5, 2, seed=7), rng)
+
+    def test_real_input_equals_its_complex_embedding(self):
+        # a complex-field operator takes real vectors as they are
+        op = CodedDiffractionOperator(6, 3, seed=2)
+        rng = np.random.default_rng(8)
+        u, v, z = (rng.standard_normal(size) for size in (6, 6, op.d))
+        cu, cv, cz = (x.astype(complex) for x in (u, v, z))
+        pairs = [
+            (op.apply_rank_one(u, v), op.apply_rank_one(cu, cv)),
+            (op.left_apply_adjoint(z, u), op.left_apply_adjoint(cz, cu)),
+            (op.right_apply_adjoint(z, v), op.right_apply_adjoint(cz, cv)),
+        ]
+        for real_in, complex_in in pairs:
+            np.testing.assert_allclose(real_in, complex_in, atol=1e-14)
 
     def test_view_energy_is_modulated_signal_energy(self):
         # Each view is a unitary DFT of the modulated signal, so the
@@ -271,3 +311,5 @@ class TestTriplesIO:
         write_triples(path, [0, 1], [0, 1], [1.0, 2.0])
         op, _ = entry_sampling_from_file(path, m=10, n=7)
         assert (op.m, op.n) == (10, 7)
+        with pytest.raises(IndexOutOfRange):
+            entry_sampling_from_file(path, m=1, n=7)

@@ -287,6 +287,17 @@ class TestTestError:
         want = 0.5 * np.mean((pred - vals) ** 2)
         assert heldout_error(f, spec) == pytest.approx(want, rel=1e-12)
 
+    def test_complex_values_rejected(self):
+        with pytest.raises(DimensionMismatch, match="complex"):
+            EvalSpec(rows=[0], cols=[0], values=[1.0 + 2.0j])
+
+    def test_complex_factors_rejected(self):
+        # held-out entries are real; a complex prediction is refused, not truncated
+        f = FactoredMatrix(np.eye(3, 1) * 1j, [1.0], np.eye(3, 1))
+        spec = EvalSpec(rows=[0], cols=[0], values=[1.0])
+        with pytest.raises(DimensionMismatch, match="complex"):
+            heldout_error(f, spec)
+
     def test_index_range_checked(self):
         f = FactoredMatrix(np.eye(4, 1), [1.0], np.eye(4, 1))
         spec = EvalSpec(rows=[5], cols=[0], values=[1.0])

@@ -72,6 +72,15 @@ class TestProblemSpecValidation:
         with pytest.raises(Exception):
             ProblemSpec(op=op, loss=Loss("gauss", [1.0]), alpha=1.0, rank=1)
 
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_outside_one_to_min_dim(self, rank):
+        op, loss = self._op_loss()
+        with pytest.raises(ValueError, match=rf"rank {rank} .* \[1, 4\]"):
+            ProblemSpec(op=op, loss=loss, alpha=1.0, rank=rank)
+        spec = ProblemSpec(op=op, loss=loss, alpha=1.0, rank=4)
+        with pytest.raises(ValueError, match=rf"rank {rank} "):
+            replace(spec, rank=rank)
+
     def test_psd_needs_square(self):
         op = EntrySamplingOperator(2, 3, [0], [0])
         with pytest.raises(Exception):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import sketchycgm.spectral
 from sketchycgm import (
     CodedDiffractionOperator,
+    DimensionMismatch,
     EntrySamplingOperator,
     ImplicitGradientMatrix,
     NoConvergence,
@@ -103,6 +104,14 @@ class TestMaxSingVec:
         u_d, v_d, s_d = max_sing_vec(G, tol=1e-10)
         assert s_i == pytest.approx(s_d, rel=1e-10)
         assert _aligned(u_i, u_d, 1e-7)
+
+    def test_complex_z_on_real_operator_raises_at_first_product(self):
+        op = EntrySamplingOperator(4, 4, [0, 1], [0, 1])
+        G = ImplicitGradientMatrix(op, np.array([1.0, 2.0j]))
+        assert not G.iscomplex
+        for product in (G.matvec, G.rmatvec):
+            with pytest.raises(DimensionMismatch, match="complex"):
+                product(np.ones(4))
 
     def test_zero_gradient_raises(self):
         op = EntrySamplingOperator(4, 4, [0, 1], [0, 1])
