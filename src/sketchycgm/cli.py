@@ -12,10 +12,13 @@ line, and explicit flags override the file. Only that expansion reads
 --config; no subcommand declares it, so a second --config, or a config line
 naming another file, reaches argparse as an unknown flag and exits 2. A
 flag that mirrors a library setting takes its default from the dataclass
-that owns it. Runs are reproducible bit for bit given the same config,
-seeds and BLAS thread count (threaded BLAS reductions round differently),
-wall-clock fields excepted. Failures exit nonzero after printing a
-machine-readable error JSON.
+that owns it. The solver settings go to the generator, or for a file
+problem to ProblemSpec, as one dict; a setting left None takes its
+default. Runs are reproducible bit for bit given the same config and
+seeds, wall-clock fields excepted. The trace and the sketch do not depend
+on the BLAS thread count; a psd reconstruction's last digits still do,
+through the dense factorizations of its Nystrom step. Failures exit
+nonzero after printing a machine-readable error JSON.
 
 Storage is measured in live scalar counts through the allocation ledger
 rather than process RSS: deterministic and platform independent, which is
@@ -28,7 +31,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,11 @@ __all__ = [
 ]
 
 DEFAULT_BENCH_NS = "256,512,1024,2048,4096,8192"
+# the sketch suites' pass criteria: rank_exact's relative error bound, and
+# tail_bound's head rank and the slack on its mean-error bound
+_RANK_EXACT_TOL = 1e-8
+_TAIL_HEAD_RANK = 5
+_TAIL_SLACK = 1.10
 
 
 def _load_config_tokens(path: str) -> list[str]:
@@ -231,15 +238,18 @@ def _write_trace_csv(path: Path, trace) -> None:
 
 def _build_solve_problem(args):
     """Materialize (ProblemSpec, eval_fn) from solve-subcommand flags."""
-    spectral = SpectralConfig(tol=args.spectral_tol, seed=args.spectral_seed)
-    rank = 1 if args.rank is None else args.rank
+    # a setting left None takes the generator's default: alpha from the
+    # instance, rank 1 for phase and --true-rank for completion
+    settings = {
+        "alpha": args.alpha,
+        "rank": args.rank,
+        "eps": args.eps,
+        "max_iters": args.max_iters,
+        "spectral": SpectralConfig(tol=args.spectral_tol, seed=args.spectral_seed),
+        "sketch_seed": args.sketch_seed,
+    }
     if args.problem == "phase":
-        prob, x_true = gen_phase_problem(
-            _synthetic_spec(args), loss_kind=args.loss, rank=rank, eps=args.eps,
-            max_iters=args.max_iters, spectral=spectral, sketch_seed=args.sketch_seed,
-        )
-        if args.alpha is not None:
-            prob = replace(prob, alpha=args.alpha)
+        prob, x_true = gen_phase_problem(_synthetic_spec(args), loss_kind=args.loss, **settings)
         peak = float(np.abs(x_true).max())
 
         def eval_fn(factors):
@@ -255,11 +265,8 @@ def _build_solve_problem(args):
         return prob, eval_fn
 
     if args.problem == "completion":
-        # rank None: the generator reconstructs at the true rank
         prob, _truth, eval_spec = gen_completion_problem(
-            _synthetic_spec(args), loss_kind=args.loss or "gauss", rank=args.rank,
-            alpha=args.alpha, eps=args.eps, max_iters=args.max_iters,
-            spectral=spectral, sketch_seed=args.sketch_seed,
+            _synthetic_spec(args), loss_kind=args.loss or "gauss", **settings
         )
         eval_fn = None
         if eval_spec is not None:
@@ -269,7 +276,7 @@ def _build_solve_problem(args):
     if args.data is None:
         raise ValueError("--data is required for --problem file")
     loss_kind = args.loss or "gauss"
-    if loss_kind == "logistic" and args.alpha is None and args.alpha_mode == "mean-b":
+    if loss_kind == "logistic" and settings["alpha"] is None and args.alpha_mode == "mean-b":
         # the mean of +-1 labels is no trace-norm scale, and often not positive
         raise ValueError("--alpha-mode mean-b does not fit --loss logistic; pass --alpha")
     op, values = entry_sampling_from_file(args.data, m=args.m, n=args.n)
@@ -277,22 +284,13 @@ def _build_solve_problem(args):
         b = np.where(values > BINARIZE_THRESHOLD, 1.0, -1.0)
     else:
         b = values
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif args.alpha_mode == "mean-b":
-        alpha = float(np.mean(b))
-    else:
-        raise ValueError("file problems need --alpha or --alpha-mode")
-    prob = ProblemSpec(
-        op=op,
-        loss=Loss(loss_kind, b, normalization=1.0 / b.size),
-        alpha=alpha,
-        rank=rank,
-        eps=args.eps,
-        max_iters=args.max_iters,
-        spectral=spectral,
-        sketch_seed=args.sketch_seed,
-    )
+    if settings["alpha"] is None:
+        if args.alpha_mode != "mean-b":
+            raise ValueError("file problems need --alpha or --alpha-mode")
+        settings["alpha"] = float(np.mean(b))
+    if settings["rank"] is None:
+        settings["rank"] = 1
+    prob = ProblemSpec(op=op, loss=Loss(loss_kind, b, normalization=1.0 / b.size), **settings)
     return prob, None
 
 
@@ -317,7 +315,7 @@ def run_solve(args) -> int:
     return 0
 
 
-def sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50, seed=0, tol=1e-8):
+def sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50, seed=0):
     """Reconstruction of exactly rank-r matrices must be exact to roundoff."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -336,12 +334,12 @@ def sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50, seed=0, to
         "trials_per_rank": trials,
         "ranks": list(ranks),
         "max_rel_err": worst,
-        "tol": tol,
-        "pass": worst <= tol,
+        "tol": _RANK_EXACT_TOL,
+        "pass": worst <= _RANK_EXACT_TOL,
     }
 
 
-def sketch_tail_suite(m=200, n=150, head_rank=5, tau=0.1, trials=100, seed=0, slack=1.10):
+def sketch_tail_suite(m=200, n=150, tau=0.1, trials=100, seed=0):
     """Mean reconstruction error against the 3*sqrt(2)*tau guarantee.
 
     Test matrices have a fixed well-separated rank-5 head and a flat tail
@@ -350,13 +348,14 @@ def sketch_tail_suite(m=200, n=150, head_rank=5, tau=0.1, trials=100, seed=0, sl
     """
     rng = np.random.default_rng(seed)
     k = min(m, n)
-    head = np.linspace(10.0, 2.0, head_rank)
-    svals = np.concatenate([head, np.full(k - head_rank, tau / np.sqrt(k - head_rank))])
+    tail = k - _TAIL_HEAD_RANK
+    head = np.linspace(10.0, 2.0, _TAIL_HEAD_RANK)
+    svals = np.concatenate([head, np.full(tail, tau / np.sqrt(tail))])
     errs = []
     for _ in range(trials):
         U = np.linalg.qr(rng.standard_normal((m, k)))[0]
         V = np.linalg.qr(rng.standard_normal((n, k)))[0]
-        sk = Sketch(m, n, head_rank, field="real", seed=int(rng.integers(2**31)))
+        sk = Sketch(m, n, _TAIL_HEAD_RANK, field="real", seed=int(rng.integers(2**31)))
         for j in range(k):
             sk.linear_update(1.0, svals[j], U[:, j], V[:, j])
         X = (U * svals) @ V.T
@@ -370,8 +369,8 @@ def sketch_tail_suite(m=200, n=150, head_rank=5, tau=0.1, trials=100, seed=0, sl
         "mean_err": mean_err,
         "bound": bound,
         "ratio": mean_err / bound,
-        "slack": slack,
-        "pass": bool(mean_err <= bound * slack),
+        "slack": _TAIL_SLACK,
+        "pass": bool(mean_err <= bound * _TAIL_SLACK),
     }
 
 

@@ -22,7 +22,6 @@ from .losses import Loss
 from .operators import CodedDiffractionOperator, EntrySamplingOperator
 from .reference import EvalSpec
 from .solver import ProblemSpec
-from .spectral import SpectralConfig
 
 __all__ = [
     "SyntheticPhaseSpec",
@@ -103,23 +102,23 @@ def poisson_photon_scale(clean: np.ndarray, snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0) * total / power
 
 
-def gen_phase_problem(
-    spec: SyntheticPhaseSpec,
-    loss_kind: str | None = None,
-    rank: int = 1,
-    eps: float = 1e-10,
-    max_iters: int = 300,
-    spectral: SpectralConfig | None = None,
-    sketch_seed: int = 0,
-):
+def _given(settings: dict) -> dict:
+    """The settings not given as None; the others take their defaults."""
+    return {key: value for key, value in settings.items() if value is not None}
+
+
+def gen_phase_problem(spec: SyntheticPhaseSpec, loss_kind: str | None = None, **settings):
     """Build a coded-diffraction phase retrieval instance.
 
     Returns (ProblemSpec, x_true). The signal is complex standard normal,
     measurements are the intensities of its modulated spectra, and the
-    trace bound comes from the measurement-mean heuristic rescaled by n:
-    with the unitary transform convention each measurement carries an
+    trace bound alpha defaults to the measurement-mean heuristic rescaled
+    by n: with the unitary transform convention each measurement carries an
     expected 1/n share of the signal energy, so n * mean(b) estimates the
-    trace of the true rank-one matrix.
+    trace of the true rank-one matrix. rank defaults to 1. Any other
+    ProblemSpec setting (eps, max_iters, spectral, sketch_seed) passes
+    through by keyword; one omitted or given as None takes ProblemSpec's
+    default.
     """
     if loss_kind is None:
         loss_kind = "poisson" if spec.noise_kind == "poisson" else "gauss"
@@ -139,18 +138,9 @@ def gen_phase_problem(
     else:
         c = poisson_photon_scale(clean, spec.snr_db)
         b = nrng.poisson(c * clean).astype(float) / c
-    alpha = op.n * float(np.mean(b))
-    prob = ProblemSpec(
-        op=op,
-        loss=Loss(loss_kind, b, normalization=1.0),
-        alpha=alpha,
-        rank=rank,
-        template="psd",
-        eps=eps,
-        max_iters=max_iters,
-        spectral=spectral or SpectralConfig(),
-        sketch_seed=sketch_seed,
-    )
+    settings = {"alpha": op.n * float(np.mean(b)), "rank": 1, **_given(settings)}
+    prob = ProblemSpec(op=op, loss=Loss(loss_kind, b, normalization=1.0), template="psd",
+                       **settings)
     return prob, x
 
 
@@ -161,24 +151,19 @@ def _nuclear_norm_from_factors(G1: np.ndarray, G2: np.ndarray) -> float:
     return float(np.linalg.svd(R1 @ R2.T, compute_uv=False).sum())
 
 
-def gen_completion_problem(
-    spec: SyntheticCompletionSpec,
-    loss_kind: str = "gauss",
-    rank: int | None = None,
-    alpha: float | None = None,
-    eps: float = 1e-10,
-    max_iters: int = 1000,
-    spectral: SpectralConfig | None = None,
-    sketch_seed: int = 0,
-):
+def gen_completion_problem(spec: SyntheticCompletionSpec, loss_kind: str = "gauss",
+                           **settings):
     """Build a low-rank matrix completion instance.
 
     Returns (ProblemSpec, (G1, G2), EvalSpec) where the truth is
     G1 @ G2.T. Observed entries are drawn uniformly without replacement
     and split into disjoint train/test sets; the training entries, and so
     the measurements, come in row-major order. alpha defaults to the exact
-    Schatten-1 norm of the truth. The values are real Gaussian, so only the
-    gauss and huber losses apply.
+    Schatten-1 norm of the truth and rank to spec.true_rank. Any other
+    ProblemSpec setting (eps, max_iters, spectral, sketch_seed) passes
+    through by keyword; one omitted or given as None takes ProblemSpec's
+    default. The values are real Gaussian, so only the gauss and huber
+    losses apply.
     """
     if loss_kind not in ("gauss", "huber"):
         raise ValueError(
@@ -212,19 +197,10 @@ def gen_completion_problem(
     op = EntrySamplingOperator(spec.m, spec.n, rows[train_idx], cols[train_idx])
     b_train = values[train_idx]
     loss = Loss(loss_kind, b_train, normalization=1.0 / b_train.size)
-    if alpha is None:
-        alpha = _nuclear_norm_from_factors(G1, G2)
-    prob = ProblemSpec(
-        op=op,
-        loss=loss,
-        alpha=float(alpha),
-        rank=spec.true_rank if rank is None else rank,
-        template="schatten1",
-        eps=eps,
-        max_iters=max_iters,
-        spectral=spectral or SpectralConfig(),
-        sketch_seed=sketch_seed,
-    )
+    settings = {"rank": spec.true_rank, **_given(settings)}
+    if "alpha" not in settings:
+        settings["alpha"] = _nuclear_norm_from_factors(G1, G2)
+    prob = ProblemSpec(op=op, loss=loss, template="schatten1", **settings)
     eval_spec = None
     if n_test > 0:
         eval_spec = EvalSpec(

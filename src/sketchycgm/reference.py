@@ -23,12 +23,12 @@ factors without densifying.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, TooLargeForDense, ZeroTruth
-from .losses import LOSS_KINDS, Loss, _real
+from .losses import Loss
 from .memory import ledger, nscalars
 from .sketch import FactoredMatrix
 from .solver import Direction, ProblemSpec, _cgm_loop, _initial_z, update_direction, vertex
@@ -55,13 +55,15 @@ DENSE_GUARD = 1_000_000  # max m*n the dense oracle will touch
 class EvalSpec:
     """Held-out entries (rows, cols, values) and the penalty that scores them.
 
-    Values are real and indices 0-based and never negative; test_error
-    checks the indices' upper bounds against the factors. loss_kind picks
-    the entrywise penalty for test_error. When the training index set is
-    supplied the constructor enforces that the two sets are disjoint; it is
-    not kept, so a copy made with dataclasses.replace is not re-checked
-    against training entries. replace reads the training arguments' None
-    defaults from the class attributes dataclasses leave for them.
+    Values are real and finite, and indices 0-based and never negative;
+    test_error checks the indices' upper bounds against the factors.
+    loss_kind picks the entrywise penalty: the constructor builds it once,
+    as the Loss ``loss`` over values with normalization 1/size, and
+    test_error scores with it. When the training index set is supplied the
+    constructor enforces that the two sets are disjoint; it is not kept, so
+    a copy made with dataclasses.replace is not re-checked against training
+    entries. replace reads the training arguments' None defaults from the
+    class attributes dataclasses leave for them.
     """
 
     rows: np.ndarray
@@ -70,19 +72,19 @@ class EvalSpec:
     loss_kind: str = "gauss"
     train_rows: InitVar[np.ndarray | None] = None
     train_cols: InitVar[np.ndarray | None] = None
+    loss: Loss = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, train_rows, train_cols):
         self.rows = np.asarray(self.rows, dtype=np.intp)
         self.cols = np.asarray(self.cols, dtype=np.intp)
-        self.values = _real(self.values, "values")
         if self.rows.size == 0:
             raise ValueError("test set is empty")
-        if not (self.rows.shape == self.cols.shape == self.values.shape):
+        if not (self.rows.shape == self.cols.shape == np.shape(self.values)):
             raise DimensionMismatch("rows, cols, values must have equal length")
+        self.loss = Loss(self.loss_kind, self.values, normalization=1.0 / self.rows.size)
+        self.values = self.loss.b
         if self.rows.min() < 0 or self.cols.min() < 0:
             raise IndexOutOfRange("held-out indices must be non-negative")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if (train_rows is None) != (train_cols is None):
             raise ValueError("supply both train index arrays or neither")
         if train_rows is not None:
@@ -258,5 +260,4 @@ def test_error(factors: FactoredMatrix, spec: EvalSpec) -> float:
     m, n = factors.shape
     if spec.rows.size and (spec.rows.max() >= m or spec.cols.max() >= n):
         raise DimensionMismatch("test indices exceed the factor shape")
-    probe = Loss(spec.loss_kind, spec.values, normalization=1.0 / spec.values.size)
-    return float(probe.value(factors.entries(spec.rows, spec.cols)))
+    return float(spec.loss.value(factors.entries(spec.rows, spec.cols)))

@@ -227,7 +227,8 @@ class Sketch:
                       width * (2 * ell * n + ell + n)) + width * k
         with ledger.track("sketch", scratch):
             Omega = self.Omega
-            vo = np.conj(v) @ Omega
+            # einsum, not a BLAS product: Y does not depend on the BLAS thread count
+            vo = np.einsum("i,ij->j", np.conj(v), Omega)
             del Omega
             self.Y *= beta1
             self.Y += beta2 * np.outer(u, vo)

@@ -268,7 +268,8 @@ def _cgm_loop(spec: ProblemSpec, z, direction, shadow, observe, trace_every: int
             grad = loss.gradient(z)
             vert = direction(spec, grad, t, vert)
             products += vert.products
-            gap = float(np.real(np.vdot(z, grad))) - vert.value
+            # einsum, not a BLAS dot: its sum does not depend on the BLAS thread count
+            gap = float(np.einsum("i,i->", z, grad)) - vert.value
             del grad
             terminal = gap <= spec.eps or t >= spec.max_iters
             eta = learning_rate(t, spec.variant)

@@ -32,7 +32,7 @@ def _report(tag, ok, detail):
 
 def test_ac01_sketch_rank_exactness():
     t0 = time.perf_counter()
-    rep = sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50, tol=1e-8)
+    rep = sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50)
     wall = time.perf_counter() - t0
     ok = rep["pass"] and wall < 10.0
     _report("AC1 sketch exactness", ok, f"max rel err {rep['max_rel_err']:.2e}, {wall:.1f}s")
@@ -40,7 +40,7 @@ def test_ac01_sketch_rank_exactness():
 
 def test_ac02_sketch_tail_bound():
     t0 = time.perf_counter()
-    rep = sketch_tail_suite(m=200, n=150, head_rank=5, tau=0.1, trials=100, slack=1.10)
+    rep = sketch_tail_suite(m=200, n=150, tau=0.1, trials=100)
     wall = time.perf_counter() - t0
     ok = rep["pass"] and wall < 30.0
     _report(

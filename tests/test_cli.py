@@ -162,7 +162,7 @@ def test_rank_above_min_dim_is_refused_by_name(capsys):
 
 
 def test_variant_override_is_validated(capsys):
-    # --alpha overrides the generated spec through a re-validating replace
+    # --alpha goes to the generator with the other settings, and ProblemSpec refuses it
     code, lines = _run(
         capsys,
         ["solve", "--problem", "phase", "--n", "8", "--views", "4", "--alpha", "-1"],

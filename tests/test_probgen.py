@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sketchycgm import (
+    ProblemSpec,
+    SpectralConfig,
     SyntheticCompletionSpec,
     SyntheticPhaseSpec,
     gen_completion_problem,
@@ -148,3 +150,53 @@ class TestCompletionGenerator:
         b, (B1, B2), _ = gen_completion_problem(spec)
         np.testing.assert_array_equal(A1, B1)
         np.testing.assert_array_equal(a.loss.b, b.loss.b)
+
+
+PHASE = SyntheticPhaseSpec(n=16, views=4, seed=1)
+COMPLETION = SyntheticCompletionSpec(m=10, n=8, true_rank=2, obs_fraction=0.6, seed=1)
+
+
+def _generate(kind, **settings):
+    if kind == "phase":
+        return gen_phase_problem(PHASE, **settings)[0]
+    return gen_completion_problem(COMPLETION, **settings)[0]
+
+
+def _settings(prob):
+    return (prob.alpha, prob.rank, prob.template, prob.eps, prob.max_iters, prob.spectral,
+            prob.sketch_seed)
+
+
+class TestSettingsPassThrough:
+    """The generators own alpha's and rank's defaults; ProblemSpec owns the rest."""
+
+    def test_phase_takes_alpha(self):
+        assert _generate("phase", alpha=2.5).alpha == 2.5
+
+    @pytest.mark.parametrize("kind", ["phase", "completion"])
+    def test_omitted_settings_take_problem_spec_defaults(self, kind):
+        prob = _generate(kind)
+        assert prob.eps == ProblemSpec.eps
+        assert prob.max_iters == ProblemSpec.max_iters
+        assert prob.spectral == SpectralConfig()
+        assert prob.sketch_seed == ProblemSpec.sketch_seed
+
+    @pytest.mark.parametrize("kind", ["phase", "completion"])
+    @pytest.mark.parametrize("name", ["spectral", "rank", "alpha", "eps", "max_iters",
+                                      "sketch_seed"])
+    def test_none_is_omitted(self, kind, name):
+        assert _settings(_generate(kind, **{name: None})) == _settings(_generate(kind))
+
+    @pytest.mark.parametrize("kind", ["phase", "completion"])
+    def test_given_settings_pass_through(self, kind):
+        spectral = SpectralConfig(tol=1e-7, seed=3)
+        prob = _generate(kind, alpha=4.0, rank=2, eps=1e-3, max_iters=7, spectral=spectral,
+                         sketch_seed=9)
+        template = "psd" if kind == "phase" else "schatten1"
+        assert _settings(prob) == (4.0, 2, template, 1e-3, 7, spectral, 9)
+
+    @pytest.mark.parametrize("kind", ["phase", "completion"])
+    @pytest.mark.parametrize("name", ["max_iter", "op", "loss", "template"])
+    def test_unknown_or_fixed_settings_are_refused(self, kind, name):
+        with pytest.raises(TypeError):
+            _generate(kind, **{name: 1})

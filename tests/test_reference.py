@@ -10,6 +10,7 @@ from sketchycgm import (
     EvalSpec,
     FactoredMatrix,
     IndexOutOfRange,
+    NonFiniteInput,
     SyntheticPhaseSpec,
     TooLargeForDense,
     ZeroTruth,
@@ -290,6 +291,11 @@ class TestTestError:
     def test_complex_values_rejected(self):
         with pytest.raises(DimensionMismatch, match="complex"):
             EvalSpec(rows=[0], cols=[0], values=[1.0 + 2.0j])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected_at_construction(self, bad):
+        with pytest.raises(NonFiniteInput):
+            EvalSpec(rows=[0, 1], cols=[0, 1], values=[1.0, bad])
 
     def test_complex_factors_rejected(self):
         # held-out entries are real; a complex prediction is refused, not truncated

@@ -1,12 +1,18 @@
 """Solver loop: schedule, directions, gap, invariants, termination."""
 
 import gc
+import os
+import pickle
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sketchycgm
 import sketchycgm.solver
 from sketchycgm import (
     CodedDiffractionOperator,
@@ -682,3 +688,46 @@ def test_poisson_variant_end_to_end():
     _, trace = solve(prob, trace_every=1)
     assert trace[-1].objective < trace[0].objective
     assert trace[0].eta == pytest.approx(2.0 / 3.0)
+
+
+# Solves one completion instance (d = 12,000 training entries, above the size
+# at which a BLAS dot product starts to thread) and one phase instance, and
+# pickles each trace, Y at every record, and the completion factors.
+_THREADED_RUN = """
+import pickle, sys
+from sketchycgm import (SyntheticCompletionSpec, SyntheticPhaseSpec,
+                        gen_completion_problem, gen_phase_problem, solve)
+
+def run(prob):
+    ys = []
+    factors, trace = solve(prob, callback=lambda rec, state: ys.append(state.sketch.Y.copy()))
+    return [(r.t, r.eta, r.gap, r.objective, r.lmo_products) for r in trace], ys, factors
+
+completion, _, _ = gen_completion_problem(
+    SyntheticCompletionSpec(m=200, n=150, true_rank=2, obs_fraction=0.5), eps=1e-300, max_iters=20)
+phase, _ = gen_phase_problem(SyntheticPhaseSpec(n=2048, views=4), eps=1e-300, max_iters=10)
+c_trace, c_ys, f = run(completion)
+p_trace, p_ys, _ = run(phase)
+pickle.dump((c_trace, c_ys, (f.U, f.S, f.V), p_trace, p_ys), sys.stdout.buffer)
+"""
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="a second BLAS thread needs a second CPU")
+def test_trace_and_sketch_do_not_depend_on_blas_thread_count():
+    src = str(Path(sketchycgm.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _THREADED_RUN], env=env,
+                              capture_output=True, check=True)
+        runs.append(pickle.loads(done.stdout))
+    (c1, cy1, f1, p1, py1), (c2, cy2, f2, p2, py2) = runs
+    assert c1 == c2 and p1 == p2
+    for y1, y2 in zip(cy1 + py1, cy2 + py2, strict=True):
+        np.testing.assert_array_equal(y1, y2)
+    for a1, a2 in zip(f1, f2):
+        np.testing.assert_array_equal(a1, a2)
