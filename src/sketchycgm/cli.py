@@ -12,9 +12,13 @@ line, and explicit flags override the file. Only that expansion reads
 --config; no subcommand declares it, so a second --config, or a config line
 naming another file, reaches argparse as an unknown flag and exits 2. A
 flag that mirrors a library setting takes its default from the dataclass
-that owns it. The solver settings go to the generator, or for a file
-problem to ProblemSpec, as one dict; a setting left None takes its
-default. Runs are reproducible bit for bit given the same config and
+that owns it, and every other default is the flag's own: the suite and
+bench-memory functions declare none. The solver settings go to the
+generator, or for a file problem to ProblemSpec, as one dict; a setting
+left None takes its default, except alpha, which a file problem must be
+given. solve and gen read --n and --m by one rule: phase n defaults to
+64, and completion needs both. gen writes meta.json from the spec it
+built: the problem, the spec's fields, alpha and d. Runs are reproducible bit for bit given the same config and
 seeds, wall-clock fields excepted. The trace and the sketch do not depend
 on the BLAS thread count; a psd reconstruction's last digits still do,
 through the dense factorizations of its Nystrom step. Failures exit
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -109,13 +114,13 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [argv[0]] + _load_config_tokens(path) + argv[1:]
 
 
-def _add_generator_flags(p: argparse.ArgumentParser, n=None, m=None) -> None:
-    """The nine generator flags solve and gen share; n and m set the --n/--m defaults."""
-    p.add_argument("--n", type=int, default=n)
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    """The nine generator flags solve and gen share."""
+    p.add_argument("--n", type=int)
     p.add_argument("--views", type=int, default=SyntheticPhaseSpec.views)
     p.add_argument("--noise", choices=NOISE_KINDS, default=SyntheticPhaseSpec.noise_kind)
     p.add_argument("--snr-db", type=float, default=SyntheticPhaseSpec.snr_db)
-    p.add_argument("--m", type=int, default=m)
+    p.add_argument("--m", type=int)
     p.add_argument("--true-rank", type=int, default=2)
     p.add_argument("--obs-fraction", type=float, default=SyntheticCompletionSpec.obs_fraction)
     p.add_argument("--noise-std", type=float, default=SyntheticCompletionSpec.noise)
@@ -154,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--rank", type=int, default=None,
                     help="reconstruction rank (default: --true-rank for completion, else 1)")
     sv.add_argument("--alpha", type=float, default=None)
-    sv.add_argument("--alpha-mode", choices=("mean-b",), default=None)
     sv.add_argument("--eps", type=float, default=ProblemSpec.eps)
     sv.add_argument("--max-iters", type=int, default=300)
     sv.add_argument("--seed", type=int, default=0)
@@ -192,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     gn.add_argument("--problem", choices=("phase", "completion"), required=True)
     gn.add_argument("--out", required=True)
     gn.add_argument("--seed", type=int, default=0)
-    _add_generator_flags(gn, n=64, m=30)
+    _add_generator_flags(gn)
     gn.set_defaults(func=run_gen)
 
     return parser
@@ -275,19 +279,14 @@ def _build_solve_problem(args):
 
     if args.data is None:
         raise ValueError("--data is required for --problem file")
+    if settings["alpha"] is None:
+        raise ValueError("file problems need --alpha")
     loss_kind = args.loss or "gauss"
-    if loss_kind == "logistic" and settings["alpha"] is None and args.alpha_mode == "mean-b":
-        # the mean of +-1 labels is no trace-norm scale, and often not positive
-        raise ValueError("--alpha-mode mean-b does not fit --loss logistic; pass --alpha")
     op, values = entry_sampling_from_file(args.data, m=args.m, n=args.n)
     if loss_kind == "logistic":
         b = np.where(values > BINARIZE_THRESHOLD, 1.0, -1.0)
     else:
         b = values
-    if settings["alpha"] is None:
-        if args.alpha_mode != "mean-b":
-            raise ValueError("file problems need --alpha or --alpha-mode")
-        settings["alpha"] = float(np.mean(b))
     if settings["rank"] is None:
         settings["rank"] = 1
     prob = ProblemSpec(op=op, loss=Loss(loss_kind, b, normalization=1.0 / b.size), **settings)
@@ -315,7 +314,7 @@ def run_solve(args) -> int:
     return 0
 
 
-def sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50, seed=0):
+def sketch_rank_exact_suite(m, n, ranks, trials, seed):
     """Reconstruction of exactly rank-r matrices must be exact to roundoff."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -339,7 +338,7 @@ def sketch_rank_exact_suite(m=200, n=150, ranks=(1, 3, 5), trials=50, seed=0):
     }
 
 
-def sketch_tail_suite(m=200, n=150, tau=0.1, trials=100, seed=0):
+def sketch_tail_suite(m, n, tau, trials, seed):
     """Mean reconstruction error against the 3*sqrt(2)*tau guarantee.
 
     Test matrices have a fixed well-separated rank-5 head and a flat tail
@@ -389,10 +388,10 @@ def run_sketch_test(args) -> int:
     for name, suite in report.items():
         print(f"{name}: {'PASS' if suite['pass'] else 'FAIL'}")
     print(json.dumps(report, sort_keys=True))
-    return 0
+    return 0 if exact["pass"] and tail["pass"] else 1
 
 
-def bench_memory_rows(ns, rank=1, views=10, iters=3, seed=0):
+def bench_memory_rows(ns, rank, views, iters, seed):
     """Peak live scalars for the sketched and dense solvers at each n."""
     rows = []
     for n in ns:
@@ -429,30 +428,25 @@ def run_bench_memory(args) -> int:
 
 
 def run_gen(args) -> int:
+    spec = _synthetic_spec(args)
     out = _outdir(args)
     if args.problem == "phase":
-        prob, x = gen_phase_problem(_synthetic_spec(args))
+        prob, x = gen_phase_problem(spec)
         np.savetxt(out / "x_true.csv", np.column_stack([x.real, x.imag]),
                    delimiter=",", header="re,im", comments="")
         np.savetxt(out / "b.csv", prob.loss.b, delimiter=",", header="b", comments="")
-        meta = {
-            "problem": "phase", "n": args.n, "views": args.views,
-            "noise": args.noise, "snr_db": args.snr_db, "seed": args.seed,
-            "alpha": prob.alpha, "d": prob.op.d,
-        }
     else:
-        prob, (G1, G2), eval_spec = gen_completion_problem(_synthetic_spec(args))
+        prob, (G1, G2), eval_spec = gen_completion_problem(spec)
         write_triples(out / "train.txt", prob.op.rows, prob.op.cols, prob.loss.b)
         if eval_spec is not None:
             write_triples(out / "test.txt", eval_spec.rows, eval_spec.cols, eval_spec.values)
         np.savetxt(out / "G1.csv", G1, delimiter=",")
         np.savetxt(out / "G2.csv", G2, delimiter=",")
-        meta = {
-            "problem": "completion", "m": args.m, "n": args.n,
-            "true_rank": args.true_rank, "obs_fraction": args.obs_fraction,
-            "noise_std": args.noise_std, "test_fraction": args.test_fraction,
-            "seed": args.seed, "alpha": prob.alpha,
-        }
+    # the spec's own fields, so a reader can rebuild it from meta.json
+    meta = {
+        "problem": args.problem, **dataclasses.asdict(spec),
+        "alpha": prob.alpha, "d": prob.op.d,
+    }
     _write_json(out / "meta.json", meta)
     print(json.dumps(meta, sort_keys=True))
     return 0

@@ -37,7 +37,6 @@ from .spectral import _canonical_phase
 __all__ = [
     "DENSE_GUARD",
     "EvalSpec",
-    "measure_dense",
     "dense_adjoint",
     "cgm_dense_solve",
     "record_spectra",
@@ -100,20 +99,6 @@ class EvalSpec:
                 nearest = np.minimum(np.searchsorted(train, test), train.size - 1)
                 if np.any(train[nearest] == test):
                     raise ValueError("test entries overlap the training set")
-
-
-def measure_dense(op, X: np.ndarray) -> np.ndarray:
-    """Apply the operator to a dense matrix using only its rank-one primitive."""
-    X = np.asarray(X)
-    if X.shape != (op.m, op.n):
-        raise DimensionMismatch(f"X has shape {X.shape}, expected {(op.m, op.n)}")
-    U, s, Vh = np.linalg.svd(X, full_matrices=False)
-    z = np.zeros(op.d, dtype=np.result_type(op.field, np.float64))
-    for j in range(s.size):
-        if s[j] == 0.0:
-            break
-        z = z + s[j] * op.apply_rank_one(U[:, j], Vh[j].conj())
-    return z
 
 
 def dense_adjoint(op, z: np.ndarray) -> np.ndarray:

@@ -115,7 +115,7 @@ class ImplicitGradientMatrix:
         self.calls += 1
         # rows of the conjugate transpose are conjugated left actions
         out = self.op.left_apply_adjoint(self.g, u)
-        return np.conj(out, out=out) if np.iscomplexobj(out) else out
+        return np.conj(out, out=out)
 
 
 class _DenseLinop:
@@ -268,8 +268,6 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
 
 def _gram_schmidt_pass(B, w):
     """Subtract from w, in place, its projection on the orthonormal rows of B."""
-    if np.iscomplexobj(B):
-        # B conj(w) is the conjugate of the coefficients B* w
-        w -= np.conj(B @ np.conj(w)) @ B
-    else:
-        w -= (B @ w) @ B
+    # B conj(w) is the conjugate of the coefficients B* w; on a real field
+    # np.conj copies the same values
+    w -= np.conj(B @ np.conj(w)) @ B

@@ -35,10 +35,6 @@ def dense_sensing_matrix(op) -> np.ndarray:
     return cols
 
 
-def measure_via_dense(op, X) -> np.ndarray:
-    return dense_sensing_matrix(op) @ np.asarray(X).ravel()
-
-
 def adjoint_via_dense(op, z) -> np.ndarray:
     A = dense_sensing_matrix(op)
     return (A.conj().T @ np.asarray(z)).reshape(op.m, op.n)

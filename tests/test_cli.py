@@ -1,6 +1,7 @@
 """Command-line front end: artifacts, reproducibility, config files, errors."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchycgm import FactoredMatrix, init_state
+from sketchycgm import FactoredMatrix, SyntheticCompletionSpec, SyntheticPhaseSpec, init_state
+from sketchycgm import cli
 from sketchycgm.cli import _build_solve_problem, build_parser, main
 
 
@@ -218,21 +220,23 @@ def test_file_problem_with_logistic_loss_binarizes_above_threshold(tmp_path):
     np.testing.assert_array_equal(prob.loss.b, [1.0, -1.0, 1.0])
 
 
-def test_file_problem_rejects_mean_b_alpha_with_logistic_loss(tmp_path, capsys):
-    # the labels' mean here is -0.5: no trace-norm scale, and not even positive
+def test_alpha_mode_flag_is_gone():
+    # the data's mean is no trace-norm scale, so a file problem takes --alpha only
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            ["solve", "--problem", "file", "--data", "ratings.txt", "--alpha-mode", "mean-b"]
+        )
+    assert exc.value.code == 2
+
+
+def test_file_problem_without_alpha_names_alpha(tmp_path, capsys):
     data = tmp_path / "ratings.txt"
     data.write_text("1 1 1.0\n1 2 2.0\n2 1 4.0\n2 2 1.5\n")
-    code, lines = _run(
-        capsys,
-        ["solve", "--problem", "file", "--data", str(data), "--loss", "logistic",
-         "--alpha-mode", "mean-b"],
-    )
+    code, lines = _run(capsys, ["solve", "--problem", "file", "--data", str(data)])
     assert code == 2
     payload = _last_json(lines)
     assert payload["error"] == "ValueError"
-    assert "--alpha-mode mean-b" in payload["message"]
-    assert "--loss logistic" in payload["message"]
-    assert "pass --alpha" in payload["message"]
+    assert re.findall(r"--[\w-]+", payload["message"]) == ["--alpha"], payload["message"]
 
 
 def test_completion_rank_defaults_to_true_rank(tmp_path, capsys):
@@ -251,7 +255,7 @@ def test_file_problem_with_poisson_loss_starts_positive(tmp_path):
     data.write_text("1 1 3\n1 2 0\n2 1 5\n3 2 1\n")
     args = build_parser().parse_args(
         ["solve", "--problem", "file", "--data", str(data), "--loss", "poisson",
-         "--alpha-mode", "mean-b"]
+         "--alpha", "1"]
     )
     prob, _ = _build_solve_problem(args)
     assert prob.variant == "poisson"
@@ -341,6 +345,47 @@ def test_gen_completion_then_solve_from_file(tmp_path, capsys):
     assert _last_json(lines)["iters"] == 30
 
 
+def test_gen_completion_needs_m_and_n(tmp_path, capsys):
+    # gen and solve read --m and --n by one rule
+    out = tmp_path / "data"
+    code, lines = _run(capsys, ["gen", "--problem", "completion", "--out", str(out)])
+    assert code == 2
+    payload = _last_json(lines)
+    assert payload["error"] == "ValueError"
+    assert "--m" in payload["message"] and "--n" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["--problem", "phase", "--n", "8", "--views", "3", "--noise", "gaussian",
+             "--snr-db", "15", "--seed", "7"],
+            SyntheticPhaseSpec(n=8, views=3, noise_kind="gaussian", snr_db=15.0, seed=7),
+        ),
+        (
+            ["--problem", "completion", "--m", "12", "--n", "9", "--true-rank", "3",
+             "--obs-fraction", "0.7", "--noise-std", "0.05", "--test-fraction", "0.3",
+             "--seed", "4"],
+            SyntheticCompletionSpec(m=12, n=9, true_rank=3, obs_fraction=0.7, noise=0.05,
+                                    test_fraction=0.3, seed=4),
+        ),
+    ],
+    ids=["phase", "completion"],
+)
+def test_gen_meta_rebuilds_the_spec(tmp_path, capsys, argv, expected):
+    out = tmp_path / "gen"
+    code, lines = _run(capsys, ["gen", *argv, "--out", str(out)])
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert _last_json(lines) == meta
+    fields = [f.name for f in dataclasses.fields(expected)]
+    assert set(meta) == {"problem", "alpha", "d", *fields}
+    assert meta["problem"] == argv[1]
+    assert type(expected)(**{f: meta[f] for f in fields}) == expected
+
+
 def test_sketch_test_subcommand(tmp_path, capsys):
     out = tmp_path / "sk"
     code, lines = _run(
@@ -354,6 +399,19 @@ def test_sketch_test_subcommand(tmp_path, capsys):
     assert "tail_bound: PASS" in text
     report = json.loads((out / "sketch_report.json").read_text())
     assert report["rank_exact"]["pass"] and report["tail_bound"]["pass"]
+
+
+@pytest.mark.parametrize("failing", ["sketch_rank_exact_suite", "sketch_tail_suite"])
+def test_sketch_test_exits_1_when_a_suite_fails(monkeypatch, capsys, failing):
+    suite = getattr(cli, failing)
+    monkeypatch.setattr(cli, failing, lambda *a, **k: {**suite(*a, **k), "pass": False})
+    code, lines = _run(
+        capsys,
+        ["sketch-test", "--m", "20", "--n", "15", "--ranks", "1", "--trials", "2",
+         "--tail-trials", "2"],
+    )
+    assert code == 1
+    assert sum("FAIL" in line for line in lines) == 1
 
 
 def test_bench_memory_subcommand(tmp_path, capsys):
