@@ -304,6 +304,7 @@ def run_solve(args) -> int:
         "objective": last.objective,
         "iters": last.t,
         "peak_scalars": ledger.peak,
+        "lmo_products": sum(rec.lmo_products for rec in trace),
         "metrics": last.metrics or {},
     }
     if out is not None:

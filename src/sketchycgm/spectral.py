@@ -12,7 +12,7 @@ shifted matrix, and the norm estimate survives as the residual scale.
 (Golub-Kahan bidiagonalization in exact arithmetic) and closes with one
 product u = G v / sigma. Each Lanczos step on -G* G costs one G v and one
 G* u, and only the n-side basis is stored: each call allocates and charges
-one basis of cap = min(``_KRYLOV_DIM`` = 48, max_iters, n) rows, and a
+one basis of cap = min(``_KRYLOV_DIM`` = 40, max_iters, n) rows, and a
 cycle that fills it without converging restarts in place from its bottom
 Ritz vector. Start vectors are drawn from a seeded generator so that
 independent runs reproduce identical direction sequences.
@@ -34,14 +34,18 @@ the vector's norm (the test of Daniel, Gragg, Kaufman and Stewart, 1976):
 the vector, which in measured runs happened only as the Krylov space ran
 out.
 
-Every few steps, and at the end of each cycle, the loop checks
-convergence. The explicit residual, one extra product with the Hermitian
-matrix, is the only stopping test short of an exhausted Krylov space. The
-free Ritz estimate, beta_J times the last component of the small Ritz
-vector, only decides whether a check is worth that product: a check runs
-it once the estimate itself meets the tolerance (``_RITZ_GATE`` = 1). With
-full reorthogonalization the two agree to roundoff, so a looser gate
-mostly buys residuals that then fail.
+The loop checks convergence at the end of each cycle and, within it,
+at every step once the Lanczos vectors have n >= ``_CHECK_EACH_STEP_FROM``
+= 1024 entries, or every ``_CHECK_EVERY`` = 5 steps below that size. On
+large operators the check's J-by-J eigensolve is cheap next to a step,
+and stopping at the first converged step lets calls fit a smaller cap; on
+small ones it costs about as much as a step. The explicit residual, one
+extra product with the Hermitian matrix, is the only stopping test short
+of an exhausted Krylov space. The free Ritz estimate, beta_J times the
+last component of the small Ritz vector, only decides whether a check is
+worth that product: a check runs it once the estimate itself meets the
+tolerance (``_RITZ_GATE`` = 1). With full reorthogonalization the two
+agree to roundoff, so a looser gate mostly buys residuals that then fail.
 """
 
 from __future__ import annotations
@@ -61,9 +65,12 @@ __all__ = [
 ]
 
 _BREAKDOWN = 1e-14
+# Convergence check cadence: every _CHECK_EVERY steps on Lanczos vectors
+# shorter than _CHECK_EACH_STEP_FROM, every step from that size up.
 _CHECK_EVERY = 5
+_CHECK_EACH_STEP_FROM = 1024
 # Krylov cap: the most Lanczos vectors a cycle stores before it restarts
-_KRYLOV_DIM = 48
+_KRYLOV_DIM = 40
 # A Gram-Schmidt pass that leaves less than this fraction of the vector's
 # norm cancelled too much to trust, so it is repeated once (the DGKS test).
 _DGKS_RATIO = 1 / np.sqrt(2)
@@ -219,6 +226,7 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
     q0 = _start_vector(n, G.iscomplex, seed, warm)
     dt, width = (np.complex128, 2) if G.iscomplex else (np.float64, 1)
     cap = int(min(_KRYLOV_DIM, max_iters, n))
+    every = 1 if n >= _CHECK_EACH_STEP_FROM else _CHECK_EVERY
     with ledger.track("spectral", width * n * cap + 4 * cap):
         Q = np.zeros((cap, n), dtype=dt)  # row j is the j-th Lanczos vector
         alphas = np.zeros(cap)
@@ -243,7 +251,7 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
             scale = max(float(np.abs(alphas[:J]).max()), float(betas[:j].max(initial=0.0)), 1e-300)
             exhausted = b <= _BREAKDOWN * scale
             final = exhausted or J == cap or used == max_iters
-            if final or J % _CHECK_EVERY == 0:
+            if final or J % every == 0:
                 # eigh reads only the lower triangle (UPLO="L"), so T needs no upper diagonal
                 T = np.diag(alphas[:J]) + np.diag(betas[: J - 1], -1)
                 evals, evecs = np.linalg.eigh(T)

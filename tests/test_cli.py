@@ -26,7 +26,7 @@ def _last_json(lines):
     return json.loads(lines[-1])
 
 
-SUMMARY_KEYS = {"gap", "objective", "iters", "peak_scalars", "metrics"}
+SUMMARY_KEYS = {"gap", "objective", "iters", "peak_scalars", "lmo_products", "metrics"}
 
 
 def test_solve_phase_writes_artifacts(tmp_path, capsys):
@@ -57,6 +57,8 @@ def test_solve_phase_writes_artifacts(tmp_path, capsys):
     # the oracle's operator products per record follow the fixed prefix
     assert rows[0][5] == "lmo_products"
     assert all(int(row[5]) > 0 for row in rows[1:])
+    # the summary carries the run's total
+    assert summary["lmo_products"] == sum(int(row[5]) for row in rows[1:])
 
 
 def test_solve_is_reproducible(tmp_path, capsys):

@@ -245,15 +245,20 @@ def test_psd_solve_peak_holds_no_range_test_matrix():
     # the peak is the oracle's: operator, loss data, z beside the gradient,
     # the sketch's Y and the Krylov basis. The sketch stores no Omega; an
     # update draws it again, and its charge stays below the basis
-    n = 256
-    prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=n, views=10), rank=1,
-                                eps=1e-300, max_iters=3)
-    d, k = prob.op.d, 6 * 1 + 4
-    cap = min(sketchycgm.spectral._KRYLOV_DIM, prob.spectral.max_iters, n)
-    ledger.reset()
-    solve(prob)
-    # coded diffraction is complex: two scalars per entry
-    assert ledger.peak == prob.op.scalars + d + 2 * d + 2 * n * k + (2 * n * cap + 4 * cap)
+    peaks = {}
+    for n in (256, 2048):
+        prob, _ = gen_phase_problem(SyntheticPhaseSpec(n=n, views=10), rank=1,
+                                    eps=1e-300, max_iters=3)
+        d, k = prob.op.d, 6 * 1 + 4
+        cap = min(sketchycgm.spectral._KRYLOV_DIM, prob.spectral.max_iters, n)
+        ledger.reset()
+        solve(prob)
+        # coded diffraction is complex: two scalars per entry
+        assert ledger.peak == prob.op.scalars + d + 2 * d + 2 * n * k + (2 * n * cap + 4 * cap)
+        peaks[n] = ledger.peak
+    # scalars per unit of n: spectral 2 * cap, operators 20, sketch 20,
+    # solver 20 and losses 10, so any storage change moves this number
+    assert peaks[2048] - peaks[256] == (2 * sketchycgm.spectral._KRYLOV_DIM + 70) * (2048 - 256)
 
 
 def test_back_to_back_solves_release_the_sketch():
