@@ -34,12 +34,8 @@ the vector's norm (the test of Daniel, Gragg, Kaufman and Stewart, 1976):
 the vector, which in measured runs happened only as the Krylov space ran
 out.
 
-The loop checks convergence at the end of each cycle and, within it,
-at every step once the Lanczos vectors have n >= ``_CHECK_EACH_STEP_FROM``
-= 1024 entries, or every ``_CHECK_EVERY`` = 5 steps below that size. On
-large operators the check's J-by-J eigensolve is cheap next to a step,
-and stopping at the first converged step lets calls fit a smaller cap; on
-small ones it costs about as much as a step. The explicit residual, one
+The loop checks convergence at every step, so a call stops at its first
+converged step. The explicit residual, one
 extra product with the Hermitian matrix, is the only stopping test short
 of an exhausted Krylov space. The free Ritz estimate, beta_J times the
 last component of the small Ritz vector, only decides whether a check is
@@ -65,10 +61,6 @@ __all__ = [
 ]
 
 _BREAKDOWN = 1e-14
-# Convergence check cadence: every _CHECK_EVERY steps on Lanczos vectors
-# shorter than _CHECK_EACH_STEP_FROM, every step from that size up.
-_CHECK_EVERY = 5
-_CHECK_EACH_STEP_FROM = 1024
 # Krylov cap: the most Lanczos vectors a cycle stores before it restarts
 _KRYLOV_DIM = 40
 # A Gram-Schmidt pass that leaves less than this fraction of the vector's
@@ -226,7 +218,6 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
     q0 = _start_vector(n, G.iscomplex, seed, warm)
     dt, width = (np.complex128, 2) if G.iscomplex else (np.float64, 1)
     cap = int(min(_KRYLOV_DIM, max_iters, n))
-    every = 1 if n >= _CHECK_EACH_STEP_FROM else _CHECK_EVERY
     with ledger.track("spectral", width * n * cap + 4 * cap):
         Q = np.zeros((cap, n), dtype=dt)  # row j is the j-th Lanczos vector
         alphas = np.zeros(cap)
@@ -251,23 +242,22 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
             scale = max(float(np.abs(alphas[:J]).max()), float(betas[:j].max(initial=0.0)), 1e-300)
             exhausted = b <= _BREAKDOWN * scale
             final = exhausted or J == cap or used == max_iters
-            if final or J % every == 0:
-                # eigh reads only the lower triangle (UPLO="L"), so T needs no upper diagonal
-                T = np.diag(alphas[:J]) + np.diag(betas[: J - 1], -1)
-                evals, evecs = np.linalg.eigh(T)
-                lam = evals[0]
-                bound = tol * max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
-                # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
-                if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
-                    u = evecs[:, 0] @ Q[:J]
-                    Gu = G.matvec(u)
-                    if exhausted or np.linalg.norm(Gu - lam * u) <= bound:
-                        return float(np.real(np.vdot(u, Gu))), u * _canonical_phase(u)
-                    if final:
-                        # restart in place from the cycle's bottom Ritz vector
-                        Q[0] = u / np.linalg.norm(u)
-                        j = 0
-                        continue
+            # eigh reads only the lower triangle (UPLO="L"), so T needs no upper diagonal
+            T = np.diag(alphas[:J]) + np.diag(betas[: J - 1], -1)
+            evals, evecs = np.linalg.eigh(T)
+            lam = evals[0]
+            bound = tol * max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
+            # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
+            if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
+                u = evecs[:, 0] @ Q[:J]
+                Gu = G.matvec(u)
+                if exhausted or np.linalg.norm(Gu - lam * u) <= bound:
+                    return float(np.real(np.vdot(u, Gu))), u * _canonical_phase(u)
+                if final:
+                    # restart in place from the cycle's bottom Ritz vector
+                    Q[0] = u / np.linalg.norm(u)
+                    j = 0
+                    continue
             betas[j] = b
             np.divide(w, b, out=Q[j + 1])
             j += 1

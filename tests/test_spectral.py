@@ -314,38 +314,29 @@ class TestRestart:
         assert charges == [self.CHARGE]
 
 
-class TestCheckCadence:
-    """Lanczos vectors of _CHECK_EACH_STEP_FROM entries or more are checked at
-    every step; shorter ones every _CHECK_EVERY steps."""
+class TestCheckEveryStep:
+    """Every Lanczos step ends in a convergence check: one eigensolve of the
+    step's J-by-J tridiagonal matrix."""
 
-    @staticmethod
-    def _run(routine, n):
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("routine", [min_eig, max_sing_vec], ids=["min_eig", "max_sing_vec"])
+    def test_each_step_eigensolves_its_tridiagonal(self, monkeypatch, routine, n):
+        rows = _gram_schmidt_passes(monkeypatch)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(T):
+            sizes.append(T.shape[0])
+            return eigh(T)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
         op = CodedDiffractionOperator(n, 4, seed=3)
         G = ImplicitGradientMatrix(op, np.random.default_rng(3).standard_normal(op.d))
-        return _counted(routine, G, SpectralConfig.tol)
-
-    @staticmethod
-    def _assert_same(a, b):
-        (out_a, calls_a), (out_b, calls_b) = a, b
-        for x, y in zip(out_a, out_b):
-            np.testing.assert_array_equal(x, y)
-        assert calls_a == calls_b
-
-    @pytest.mark.parametrize("routine", [min_eig, max_sing_vec], ids=["min_eig", "max_sing_vec"])
-    def test_large_operators_check_every_step(self, monkeypatch, routine):
-        n = sketchycgm.spectral._CHECK_EACH_STEP_FROM
-        default = self._run(routine, n)
-        monkeypatch.setattr(sketchycgm.spectral, "_CHECK_EVERY", 1)
-        self._assert_same(default, self._run(routine, n))
-
-    @pytest.mark.parametrize("routine", [min_eig, max_sing_vec], ids=["min_eig", "max_sing_vec"])
-    def test_small_operators_keep_the_cadence(self, monkeypatch, routine):
-        default = self._run(routine, 64)
-        monkeypatch.setattr(sketchycgm.spectral, "_CHECK_EVERY", 5)
-        self._assert_same(default, self._run(routine, 64))
-        # checking every step would stop these calls sooner
-        monkeypatch.setattr(sketchycgm.spectral, "_CHECK_EVERY", 1)
-        assert self._run(routine, 64)[1] < default[1]
+        routine(G)
+        assert _repeated_passes(rows) == 0
+        assert len(rows) > 5
+        # step J of a cycle sees a J-row basis and checks the J-by-J matrix
+        assert sizes == rows
 
 
 def _symmetric_entry_sampling(rng, n, frac):
