@@ -154,10 +154,7 @@ def _start_vector(size: int, iscomplex: bool, seed, warm=None) -> np.ndarray:
 
 def _canonical_phase(u: np.ndarray):
     """Unit scalar that rotates u's largest-magnitude entry to the positive reals."""
-    i = int(np.argmax(np.abs(u)))
-    p = u[i]
-    if p == 0:
-        return 1.0
+    p = u[int(np.argmax(np.abs(u)))]
     return np.conj(p / abs(p))
 
 
@@ -238,15 +235,14 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
                 if b >= _DGKS_RATIO * before:
                     break
             J = j + 1
-            # betas[j:] are left over from an earlier cycle, so they stay out
-            scale = max(float(np.abs(alphas[:J]).max()), float(betas[:j].max(initial=0.0)), 1e-300)
-            exhausted = b <= _BREAKDOWN * scale
-            final = exhausted or J == cap or used == max_iters
             # eigh reads only the lower triangle (UPLO="L"), so T needs no upper diagonal
             T = np.diag(alphas[:J]) + np.diag(betas[: J - 1], -1)
             evals, evecs = np.linalg.eigh(T)
             lam = evals[0]
-            bound = tol * max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
+            scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
+            exhausted = b <= _BREAKDOWN * scale
+            final = exhausted or J == cap or used == max_iters
+            bound = tol * scale
             # G u - lam u = b * evecs[J-1, 0] * (next Lanczos vector)
             if final or b * abs(evecs[J - 1, 0]) <= _RITZ_GATE * bound:
                 u = evecs[:, 0] @ Q[:J]
