@@ -162,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--eps", type=float, default=ProblemSpec.eps)
     sv.add_argument("--max-iters", type=int, default=300)
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--sketch-seed", type=int, default=ProblemSpec.sketch_seed)
-    sv.add_argument("--spectral-seed", type=int, default=SpectralConfig.seed)
+    sv.add_argument("--solver-seed", type=int, default=ProblemSpec.solver_seed,
+                    help="seed of the sketch and the oracle (--seed seeds the instance)")
     sv.add_argument("--spectral-tol", type=float, default=SpectralConfig.tol,
                     help="residual tolerance of the linear minimization step from iteration "
                          "998 on; iteration t runs to this times max(1, 1000/(t+2))")
@@ -249,8 +249,8 @@ def _build_solve_problem(args):
         "rank": args.rank,
         "eps": args.eps,
         "max_iters": args.max_iters,
-        "spectral": SpectralConfig(tol=args.spectral_tol, seed=args.spectral_seed),
-        "sketch_seed": args.sketch_seed,
+        "spectral": SpectralConfig(tol=args.spectral_tol),
+        "solver_seed": args.solver_seed,
     }
     if args.problem == "phase":
         prob, x_true = gen_phase_problem(_synthetic_spec(args), loss_kind=args.loss, **settings)

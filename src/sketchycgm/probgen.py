@@ -116,7 +116,7 @@ def gen_phase_problem(spec: SyntheticPhaseSpec, loss_kind: str | None = None, **
     by n: with the unitary transform convention each measurement carries an
     expected 1/n share of the signal energy, so n * mean(b) estimates the
     trace of the true rank-one matrix. rank defaults to 1. Any other
-    ProblemSpec setting (eps, max_iters, spectral, sketch_seed) passes
+    ProblemSpec setting (eps, max_iters, spectral, solver_seed) passes
     through by keyword; one omitted or given as None takes ProblemSpec's
     default.
     """
@@ -160,7 +160,7 @@ def gen_completion_problem(spec: SyntheticCompletionSpec, loss_kind: str = "gaus
     and split into disjoint train/test sets; the training entries, and so
     the measurements, come in row-major order. alpha defaults to the exact
     Schatten-1 norm of the truth and rank to spec.true_rank. Any other
-    ProblemSpec setting (eps, max_iters, spectral, sketch_seed) passes
+    ProblemSpec setting (eps, max_iters, spectral, solver_seed) passes
     through by keyword; one omitted or given as None takes ProblemSpec's
     default. The values are real Gaussian, so only the gauss and huber
     losses apply.

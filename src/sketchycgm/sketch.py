@@ -20,12 +20,12 @@ min(6r + 4, n) of them. Reconstruction is the shifted Nystrom approximation
 Y_nu (Omega* Y_nu)^+ Y_nu* - nu I with Y_nu = Y + nu Omega, truncated to
 rank r, which is psd by construction.
 
-Omega is never stored: it is drawn again from the seed each time an update
-or a Nystrom reconstruction needs it, bit for bit the matrix drawn first.
-The sketch stores Y, W and Psi, width*(m k + ell n + ell m) scalars for
-width 1 (real) or 2 (complex); the psd sketch stores Y alone, width*n*k.
-Psi follows Omega in the seed's stream, so a two-sided sketch draws Omega
-once at construction to reach it.
+Omega and Psi are each their own stream of the seed, default_rng((seed, 0))
+(for an int seed below 2**32, default_rng(seed) itself) and
+default_rng((seed, 1)). Omega is never stored: it is drawn again each time
+an update or a Nystrom reconstruction needs it, bit for bit the same. The
+sketch stores Y, W and Psi, width*(m k + ell n + ell m) scalars for width 1
+(real) or 2 (complex); the psd sketch stores Y alone, width*n*k.
 """
 
 from __future__ import annotations
@@ -179,24 +179,18 @@ class Sketch:
             if m != n:
                 raise DimensionMismatch("a psd sketch needs a square matrix")
             k, ell = min(k + ell, n), 0
-        # held as a SeedSequence, so that seed=None takes its entropy once and
+        # the seed's entropy, so that seed=None takes fresh entropy once and
         # every later draw of Omega repeats the first
-        self.k, self.seed = k, np.random.SeedSequence(seed)
-        if psd:
-            self.Psi = np.zeros((0, m), dtype=self.field)
-        else:
-            # Psi follows Omega in the seed's stream
-            rng = np.random.default_rng(self.seed)
-            _gaussian(rng, (n, k), self.field)
-            self.Psi = _gaussian(rng, (ell, m), self.field)
+        self.k, self.seed = k, np.random.SeedSequence(seed).entropy
+        self.Psi = _gaussian(np.random.default_rng((self.seed, 1)), (ell, m), self.field)
         self.Y = np.zeros((m, k), dtype=self.field)
         self.W = np.zeros((ell, n), dtype=self.field)
         self.scalars = nscalars(self.Psi, self.Y, self.W)
 
     @property
     def Omega(self) -> np.ndarray:
-        """The n-by-k range test matrix, drawn again from the seed."""
-        return _gaussian(np.random.default_rng(self.seed), (self.n, self.k), self.field)
+        """The n-by-k range test matrix, drawn again from the seed's stream 0."""
+        return _gaussian(np.random.default_rng((self.seed, 0)), (self.n, self.k), self.field)
 
     def _check_pair(self, u, v):
         u = np.asarray(u)

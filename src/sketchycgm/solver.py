@@ -33,6 +33,12 @@ minimization oracle ``update_direction`` and the ``vertex`` it returns. The
 loop owns z and charges it; ``solve`` hands it the sketch as the shadow of
 the iterate, and the dense oracle in ``reference`` hands it the full
 matrix instead.
+
+A solve has one seed, spec.solver_seed, and stream j of it is
+np.random.default_rng((solver_seed, j)): stream 0 draws the sketch's Omega,
+stream 1 its Psi, and stream t + 2 the oracle's start vector at iteration
+t, so no start vector repeats a sketch test matrix. It never spawns: the
+instance generators spawn theirs from the instance seed, often the same.
 """
 
 from __future__ import annotations
@@ -77,8 +83,9 @@ class ProblemSpec:
     template "schatten1" constrains the Schatten-1 norm of X by alpha;
     "psd" constrains to the positive semidefinite cone with trace at most
     alpha (requires a square domain). rank, in [1, min(m, n)], sets the
-    reconstruction rank of the sketch. Frozen: derive a modified copy with
-    dataclasses.replace, which re-validates.
+    reconstruction rank of the sketch, and solver_seed seeds the solve's
+    random streams. Frozen: derive a modified copy with dataclasses.replace,
+    which re-validates.
     """
 
     op: MeasurementOperator
@@ -89,7 +96,7 @@ class ProblemSpec:
     eps: float = 1e-6
     max_iters: int = 1000
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
-    sketch_seed: int = 0
+    solver_seed: int = 0
 
     def __post_init__(self):
         if self.template not in TEMPLATES:
@@ -103,6 +110,8 @@ class ProblemSpec:
             raise ValueError(f"rank {self.rank} must lie in [1, min(m, n)] = [1, {top}]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if not (isinstance(self.solver_seed, (int, np.integer)) and self.solver_seed >= 0):
+            raise ValueError("solver_seed must be a nonnegative integer")
         if self.loss.d != self.op.d:
             raise DimensionMismatch(
                 f"loss holds {self.loss.d} measurements, operator yields {self.op.d}"
@@ -174,7 +183,7 @@ def _initial_z(spec: ProblemSpec) -> np.ndarray:
 
 def init_state(spec: ProblemSpec) -> SolverState:
     sk = Sketch(spec.op.m, spec.op.n, spec.rank, field=spec.op.field,
-                seed=spec.sketch_seed, psd=spec.template == "psd")
+                seed=spec.solver_seed, psd=spec.template == "psd")
     return SolverState(z=_initial_z(spec), sketch=sk)
 
 
@@ -201,7 +210,7 @@ def update_direction(spec: ProblemSpec, grad, t: int,
     An all-zero gradient gives the zero vertex, which is then optimal, at
     no operator product. Otherwise the extreme pair comes from the seeded
     Krylov routines, called with tolerance spec.spectral.tol * max(1, 1000
-    / (t + 2)), seed (spec.spectral.seed, t) and spec.spectral.max_iters,
+    / (t + 2)), seed (spec.solver_seed, t + 2) and spec.spectral.max_iters,
     and warm-started from the previous vertex's v (u for psd; schatten1's
     Krylov iteration runs on the n side). So the direction depends on
     (spec, grad, t, previous) only; previous=None, or the zero vertex,
@@ -212,7 +221,7 @@ def update_direction(spec: ProblemSpec, grad, t: int,
         return vertex(spec)
     cfg = spec.spectral
     tol = cfg.tol * max(1.0, _TOL_RAMP / (t + 2))
-    seed = (cfg.seed, t)
+    seed = (spec.solver_seed, t + 2)
     # the Krylov iteration runs on the n side, where v lives; v is u for psd
     warm = None if previous is None else previous.v
     try:

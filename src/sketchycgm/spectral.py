@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, ZeroGradient
 from .memory import ledger
+from .sketch import _gaussian
 
 __all__ = [
     "SpectralConfig",
@@ -75,9 +76,10 @@ _WARM_MIX = 0.25
 
 @dataclass(frozen=True)
 class SpectralConfig:
+    """The oracle's residual tolerance and Lanczos step budget; its seeds are the solve's."""
+
     tol: float = 1e-8
     max_iters: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         _check_settings(self.tol, self.max_iters)
@@ -140,10 +142,7 @@ def _as_linop(G):
 
 def _start_vector(size: int, iscomplex: bool, seed, warm=None) -> np.ndarray:
     """Seeded random unit vector q, or normalize(warm/|warm| + _WARM_MIX q)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(size)
-    if iscomplex:
-        v = v + 1j * rng.standard_normal(size)
+    v = _gaussian(np.random.default_rng(seed), size, np.complex128 if iscomplex else np.float64)
     v /= np.linalg.norm(v)
     scale = 0.0 if warm is None else np.linalg.norm(warm)
     if scale == 0.0:
@@ -170,7 +169,7 @@ class _NegatedGram:
         return -self.G.rmatvec(self.G.matvec(v))
 
 
-def max_sing_vec(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
+def max_sing_vec(G, tol=SpectralConfig.tol, seed=0,
                  max_iters=SpectralConfig.max_iters, warm=None):
     """Top singular triple (u, v, sigma) of an implicit matrix.
 
@@ -193,7 +192,7 @@ def max_sing_vec(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
     return u * ph, v * ph, float(sigma)
 
 
-def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
+def min_eig(G, tol=SpectralConfig.tol, seed=0,
             max_iters=SpectralConfig.max_iters, warm=None):
     """Minimum eigenpair (rho, u) of an implicit Hermitian matrix.
 
@@ -205,7 +204,7 @@ def min_eig(G, tol=SpectralConfig.tol, seed=SpectralConfig.seed,
     residual. A nonzero warm vector, such as an earlier u, starts the first
     cycle from normalize(warm/|warm| + _WARM_MIX q) instead of the random
     unit vector q drawn from seed; None or an all-zero vector gives q
-    itself. The defaults are ``SpectralConfig``'s.
+    itself. tol and max_iters default to ``SpectralConfig``'s.
     """
     _check_settings(tol, max_iters)
     G = _as_linop(G)

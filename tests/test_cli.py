@@ -11,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchycgm import FactoredMatrix, SyntheticCompletionSpec, SyntheticPhaseSpec, init_state
+from sketchycgm import (
+    FactoredMatrix,
+    ParseError,
+    SyntheticCompletionSpec,
+    SyntheticPhaseSpec,
+    init_state,
+)
 from sketchycgm import cli
 from sketchycgm.cli import _build_solve_problem, build_parser, main
 
@@ -112,6 +118,55 @@ def test_config_file_expansion_and_override(tmp_path, capsys):
     )
     assert code2 == 0
     assert _last_json(lines2)["iters"] == 0
+
+
+def test_config_equals_form_reads_the_same_file(tmp_path):
+    # the README's --config=FILE spelling splices the file as --config FILE does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 8\nmax_iters = 2\n")
+    spaced = cli._expand_config(["solve", "--problem", "phase", "--config", str(cfg)])
+    joined = cli._expand_config(["solve", "--problem", "phase", f"--config={cfg}"])
+    assert joined == spaced == ["solve", "--n", "8", "--max-iters", "2", "--problem", "phase"]
+
+
+def _config_argv(tmp_path, text, joined=False):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return ["solve", f"--config={cfg}"] if joined else ["solve", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda p: cli._expand_config(["solve", "--problem", "phase", "--config"]),
+                     ParseError, "needs a file path", id="config-without-path"),
+        pytest.param(lambda p: cli._expand_config(_config_argv(p, "n = 8\nviews 4\n")),
+                     ParseError, "line 2: expected key=value", id="config-line-without-equals"),
+        pytest.param(lambda p: cli._expand_config(_config_argv(p, "= 4\n", joined=True)),
+                     ParseError, "line 1: empty key", id="config-equals-form-empty-key"),
+        pytest.param(lambda p: _build_solve_problem(build_parser().parse_args(
+                     ["solve", "--problem", "file", "--alpha", "1"])),
+                     ValueError, "--data", id="file-problem-without-data"),
+    ],
+)
+def test_input_checks_raise_typed_errors(tmp_path, call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error
+
+
+def test_solve_takes_one_solver_seed(capsys):
+    # --seed draws the instance and --solver-seed the sketch and the oracle
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    flags = set(re.findall(r"--[a-z-]*seed[a-z-]*", capsys.readouterr().out))
+    assert flags == {"--seed", "--solver-seed"}
+    args = build_parser().parse_args(["solve", "--problem", "phase", "--solver-seed", "3"])
+    assert _build_solve_problem(args)[0].solver_seed == 3
+    for gone in ("--sketch-seed", "--spectral-seed"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["solve", "--problem", "phase", gone, "1"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("nested", [False, True])

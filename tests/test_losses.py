@@ -147,3 +147,22 @@ def test_convexity_along_segments(kind, seed, lam):
     y = 3.0 * rng.standard_normal(d)
     mid = loss.value(lam * x + (1 - lam) * y)
     assert mid <= lam * loss.value(x) + (1 - lam) * loss.value(y) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: Loss("gauss", [1.0], normalization=0.0), ValueError,
+                     "normalization", id="normalization-zero"),
+        pytest.param(lambda: Loss("gauss", [1.0], normalization=-1.0), ValueError,
+                     "normalization", id="normalization-negative"),
+        pytest.param(lambda: Loss("gauss", [1.0, 2.0]).value([1.0]), DimensionMismatch,
+                     "shape", id="value-misshapen-z"),
+        pytest.param(lambda: Loss("huber", [1.0, 2.0]).gradient(np.ones((2, 1))),
+                     DimensionMismatch, "shape", id="gradient-misshapen-z"),
+    ],
+)
+def test_input_checks_raise_typed_errors(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert type(exc.value) is error

@@ -313,3 +313,32 @@ class TestTriplesIO:
         assert (op.m, op.n) == (10, 7)
         with pytest.raises(IndexOutOfRange):
             entry_sampling_from_file(path, m=1, n=7)
+
+
+def _triples(tmp_path, text):
+    path = tmp_path / "triples.txt"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda p: read_triples(_triples(p, "1 1 2.0\n1 2\n")), ParseError, "line 2",
+                     id="read-malformed-line"),
+        pytest.param(lambda p: read_triples(_triples(p, "1 1 2.0\n0 2 1.0\n")),
+                     IndexOutOfRange, "1-based", id="read-index-below-1"),
+        pytest.param(lambda p: read_triples(_triples(p, "# no entries\n\n")), ParseError,
+                     "no data rows", id="read-empty-file"),
+        pytest.param(lambda p: write_triples(p / "out.txt", [0, 1], [0, 1], [1.0]),
+                     DimensionMismatch, "same length", id="write-length-mismatch"),
+        pytest.param(lambda p: EntrySamplingOperator(3, 3, [], []), ValueError, "empty",
+                     id="entry-sampling-empty"),
+        pytest.param(lambda p: CodedDiffractionOperator(0, 1), ValueError, "positive",
+                     id="coded-diffraction-n-0"),
+    ],
+)
+def test_input_checks_raise_typed_errors(tmp_path, call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error

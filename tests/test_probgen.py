@@ -164,7 +164,7 @@ def _generate(kind, **settings):
 
 def _settings(prob):
     return (prob.alpha, prob.rank, prob.template, prob.eps, prob.max_iters, prob.spectral,
-            prob.sketch_seed)
+            prob.solver_seed)
 
 
 class TestSettingsPassThrough:
@@ -179,19 +179,19 @@ class TestSettingsPassThrough:
         assert prob.eps == ProblemSpec.eps
         assert prob.max_iters == ProblemSpec.max_iters
         assert prob.spectral == SpectralConfig()
-        assert prob.sketch_seed == ProblemSpec.sketch_seed
+        assert prob.solver_seed == ProblemSpec.solver_seed
 
     @pytest.mark.parametrize("kind", ["phase", "completion"])
     @pytest.mark.parametrize("name", ["spectral", "rank", "alpha", "eps", "max_iters",
-                                      "sketch_seed"])
+                                      "solver_seed"])
     def test_none_is_omitted(self, kind, name):
         assert _settings(_generate(kind, **{name: None})) == _settings(_generate(kind))
 
     @pytest.mark.parametrize("kind", ["phase", "completion"])
     def test_given_settings_pass_through(self, kind):
-        spectral = SpectralConfig(tol=1e-7, seed=3)
+        spectral = SpectralConfig(tol=1e-7, max_iters=50)
         prob = _generate(kind, alpha=4.0, rank=2, eps=1e-3, max_iters=7, spectral=spectral,
-                         sketch_seed=9)
+                         solver_seed=9)
         template = "psd" if kind == "phase" else "schatten1"
         assert _settings(prob) == (4.0, 2, template, 1e-3, 7, spectral, 9)
 

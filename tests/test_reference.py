@@ -323,3 +323,28 @@ class TestTestError:
                 train_rows=[1, 2],
                 train_cols=[1, 2],
             )
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: EvalSpec(rows=[], cols=[], values=[]), ValueError, "empty",
+                     id="eval-spec-empty"),
+        pytest.param(lambda: EvalSpec(rows=[0, 1], cols=[0], values=[1.0, 2.0]),
+                     DimensionMismatch, "equal length", id="eval-spec-length-mismatch"),
+        pytest.param(lambda: EvalSpec(rows=[0], cols=[0], values=[1.0], train_rows=[1]),
+                     ValueError, "both", id="eval-spec-one-train-array"),
+        pytest.param(lambda: EvalSpec(rows=[0], cols=[0], values=[1.0], train_rows=[1, 2],
+                                      train_cols=[1]),
+                     DimensionMismatch, "equal length", id="eval-spec-unequal-train-arrays"),
+        pytest.param(lambda: cgm_dense_solve(spiked_completion_problem(1, m=6, n=5),
+                                             spectral_mode="x"),
+                     ValueError, "spectral_mode", id="dense-unknown-spectral-mode"),
+        pytest.param(lambda: phase_aligned_error(np.ones(3), np.ones(4)), DimensionMismatch,
+                     "shapes", id="phase-error-shape-mismatch"),
+    ],
+)
+def test_input_checks_raise_typed_errors(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert type(exc.value) is error

@@ -164,19 +164,20 @@ def test_sketch_stores_its_shadows_and_psi(field):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("psd", [False, True])
 def test_omega_is_the_construction_time_draw(psd, field):
-    # the expression that drew Omega and then Psi at construction, and kept both
+    # Omega and Psi are each the first draw of their own stream of the seed,
+    # and Omega's, stream 0, is default_rng(seed) itself for an int seed below 2**32
     m, n, r, seed = 40, 30, 2, 17
     k = min(6 * r + 4, n) if psd else 2 * r + 1
     ell = 0 if psd else 4 * r + 3
-    rng = np.random.default_rng(seed)
-    if field == "complex":
-        scale = 1.0 / np.sqrt(2.0)
-        omega = scale * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
-        psi = scale * (rng.standard_normal((ell, n if psd else m))
-                       + 1j * rng.standard_normal((ell, n if psd else m)))
-    else:
-        omega = rng.standard_normal((n, k))
-        psi = rng.standard_normal((ell, n if psd else m))
+
+    def draw(rng, shape):
+        if field == "complex":
+            scale = 1.0 / np.sqrt(2.0)
+            return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return rng.standard_normal(shape)
+
+    omega = draw(np.random.default_rng(seed), (n, k))
+    psi = draw(np.random.default_rng((seed, 1)), (ell, n if psd else m))
     sk = Sketch(n if psd else m, n, r, field=field, seed=seed, psd=psd)
     for _ in range(2):
         assert sk.Omega.dtype == omega.dtype and sk.Omega.tobytes() == omega.tobytes()
@@ -330,3 +331,40 @@ class TestFactoredMatrix:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             FactoredMatrix(np.eye(3, 1), [-1.0], np.eye(3, 1))
+
+
+def _mismatched_factor_files(tmp_path):
+    # outside factor files: U has two columns beside one weight
+    np.savetxt(tmp_path / "U.csv", np.eye(3, 2), delimiter=",", header="c0,c1", comments="")
+    np.savetxt(tmp_path / "S.csv", [[1.0]], delimiter=",", header="c0", comments="")
+    np.savetxt(tmp_path / "V.csv", np.eye(3, 1), delimiter=",", header="c0", comments="")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda p: Sketch(4, 4, 1, field="quaternion"), ValueError, "field",
+                     id="unknown-field"),
+        pytest.param(lambda p: FactoredMatrix(np.ones(3), [1.0], np.ones((3, 1))),
+                     DimensionMismatch, "2-D", id="factor-not-2d"),
+        pytest.param(lambda p: FactoredMatrix.load(_mismatched_factor_files(p)), DimensionMismatch,
+                     "column", id="load-column-mismatch"),
+        pytest.param(lambda p: FactoredMatrix(np.eye(3, 1), [1.0], np.eye(3, 1)).entries(
+                     [0, 1], [0]), DimensionMismatch, "same length", id="entries-length-mismatch"),
+        pytest.param(lambda p: Sketch(4, 3, 1).linear_update(1.0, 1.0, np.ones(3), np.ones(3)),
+                     DimensionMismatch, "u has shape", id="update-misshapen-u"),
+        pytest.param(lambda p: Sketch(4, 3, 1).linear_update(1.0, 1.0, np.ones(4), np.ones(4)),
+                     DimensionMismatch, "v has shape", id="update-misshapen-v"),
+        pytest.param(lambda p: Sketch(4, 3, 1).linear_update(
+                     1.0, 1.0, np.array([1.0, np.nan, 0.0, 0.0]), np.ones(3)),
+                     NonFiniteInput, "non-finite", id="update-non-finite-u"),
+        pytest.param(lambda p: Sketch(4, 3, 1).linear_update(
+                     1.0, 1.0, np.ones(4), np.array([np.inf, 0.0, 0.0])),
+                     NonFiniteInput, "non-finite", id="update-non-finite-v"),
+    ],
+)
+def test_input_checks_raise_typed_errors(tmp_path, call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call(tmp_path)
+    assert type(exc.value) is error

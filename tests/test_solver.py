@@ -26,6 +26,7 @@ from sketchycgm import (
     SpectralConfig,
     SyntheticCompletionSpec,
     SyntheticPhaseSpec,
+    ZeroGradient,
     cgm_dense_solve,
     dense_adjoint,
     gen_completion_problem,
@@ -111,6 +112,34 @@ class TestProblemSpecValidation:
             replace(spec, variant="poisson")
         poisson = replace(spec, loss=Loss("poisson", [1.0, 2.0, 3.0]))
         assert poisson.variant == "poisson"
+
+
+def _small_spec(**changes):
+    op = EntrySamplingOperator(4, 4, [0, 1, 2], [1, 2, 3])
+    return ProblemSpec(op=op, loss=Loss("gauss", [1.0, 2.0, 3.0]), alpha=1.0, rank=1, **changes)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: _small_spec(eps=0.0), ValueError, "eps", id="eps-zero"),
+        pytest.param(lambda: _small_spec(max_iters=-1), ValueError, "max_iters",
+                     id="max-iters-negative"),
+        pytest.param(lambda: _small_spec(solver_seed=-1), ValueError, "solver_seed",
+                     id="solver-seed-negative"),
+        pytest.param(lambda: _small_spec(solver_seed=None), ValueError, "solver_seed",
+                     id="solver-seed-none"),
+        pytest.param(lambda: learning_rate(-1), ValueError, "t must", id="rate-negative-t"),
+        pytest.param(lambda: learning_rate(0, "fast"), ValueError, "variant",
+                     id="rate-unknown-variant"),
+        pytest.param(lambda: solve(_small_spec(), trace_every=0), ValueError, "trace_every",
+                     id="trace-every-zero"),
+    ],
+)
+def test_input_checks_raise_typed_errors(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert type(exc.value) is error
 
 
 def test_init_state_standard_starts_at_zero():
@@ -335,6 +364,11 @@ def test_solve_charges_every_tag_through_add(monkeypatch, template):
     assert tags == {"solver", "spectral", "sketch", "losses", "operators"}
 
 
+def _iteration(seed) -> int:
+    """The iteration an oracle call serves: stream t + 2 of the solver seed seeds it."""
+    return seed[1] - 2
+
+
 def _record_lmo_calls(monkeypatch, strip_warm=False) -> list:
     """(t, tol, warm, answer) of every oracle call the solver makes through its
     module globals; strip_warm starts every call cold."""
@@ -344,7 +378,7 @@ def _record_lmo_calls(monkeypatch, strip_warm=False) -> list:
 
         def recording(G, tol, seed, max_iters, warm, routine=routine):
             out = routine(G, tol, seed, max_iters, None if strip_warm else warm)
-            calls.append((seed[1], tol, None if warm is None else warm.copy(), out))
+            calls.append((_iteration(seed), tol, None if warm is None else warm.copy(), out))
             return out
 
         monkeypatch.setattr(sketchycgm.solver, name, recording)
@@ -488,6 +522,70 @@ def test_zero_gradient_gives_the_zero_vertex_without_the_oracle(monkeypatch, tem
     assert vert.u.shape == (prob.op.m,) and vert.v.shape == (prob.op.n,)
 
 
+def test_oracle_zero_gradient_gives_the_zero_vertex(monkeypatch):
+    # the Schatten-1 oracle finds a zero top singular value on a nonzero
+    # gradient from t = 2 on, as it would on a numerically zero one; alpha
+    # far above the data's scale keeps the zero vertex's gap Re<z, g> positive
+    prob = spiked_completion_problem(15, m=8, n=6, alpha=100.0, max_iters=6)
+    lmo = sketchycgm.solver.max_sing_vec
+
+    def zero_from_t2(G, tol, seed, max_iters, warm):
+        if _iteration(seed) >= 2:
+            raise ZeroGradient("forced from t=2 on")
+        return lmo(G, tol, seed, max_iters, warm)
+
+    monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", zero_from_t2)
+    grad = prob.loss.gradient(np.zeros(prob.op.d))
+    assert np.any(grad)
+    vert = update_direction(prob, grad, 2)
+    assert vert.products == 0
+    assert vert.weight == vert.value == 0.0
+    assert not np.any(vert.u) and not np.any(vert.v)
+    assert vert.u.shape == (prob.op.m,) and vert.v.shape == (prob.op.n,)
+    zs, etas = [], []
+
+    def keep(record, state):
+        zs.append(state.z.copy())
+        etas.append(record.eta)
+
+    solve(prob, callback=keep)
+    assert len(zs) == 7 and np.any(zs[2])
+    # the zero vertex measures to zero, so z only shrinks by 1 - eta
+    for t in range(2, 6):
+        np.testing.assert_array_equal(zs[t + 1], (1.0 - etas[t]) * zs[t])
+
+
+@pytest.mark.parametrize("solver_seed", [0, 1])
+def test_random_streams_never_coincide(monkeypatch, solver_seed):
+    # the first 8 normals of every stream a seed-s completion run draws from:
+    # the sketch's Omega and Psi, the oracle's start vectors at t = 0..20,
+    # and the instance's three streams, spawned from the same seed
+    spec = SyntheticCompletionSpec(m=12, n=9, true_rank=2, obs_fraction=0.6, noise=0.1,
+                                   seed=solver_seed)
+    prob, (G1, _), _ = gen_completion_problem(spec, eps=1e-300, max_iters=20,
+                                              solver_seed=solver_seed)
+    instance = [np.random.default_rng(child).standard_normal(8)
+                for child in np.random.SeedSequence(solver_seed).spawn(3)]
+    # the truth's first factor is the first draw of the instance's first stream
+    np.testing.assert_array_equal(G1.ravel()[:8], instance[0])
+    oracle = []
+    lmo = sketchycgm.solver.max_sing_vec
+
+    def recording(G, tol, seed, max_iters, warm):
+        # a real start vector is the normalized first draw of the call's stream
+        oracle.append(np.random.default_rng(seed).standard_normal(8))
+        return lmo(G, tol, seed, max_iters, warm)
+
+    monkeypatch.setattr(sketchycgm.solver, "max_sing_vec", recording)
+    sketches = []
+    solve(prob, callback=lambda record, state: sketches.append(state.sketch))
+    assert len(oracle) == 21
+    sk = sketches[0]
+    streams = [sk.Omega.ravel()[:8], sk.Psi.ravel()[:8], *oracle, *instance]
+    # no value recurs, so no stream repeats or shifts another
+    assert np.unique(np.concatenate(streams)).size == 8 * len(streams)
+
+
 @pytest.mark.parametrize(
     "template, seed",
     [pytest.param("psd", seed, id=str(seed)) for seed in range(3)]
@@ -529,7 +627,7 @@ def test_lmo_failure_keeps_partial_result(monkeypatch):
     lmo = sketchycgm.solver.max_sing_vec
 
     def fail_at_t3(G, tol, seed, max_iters, warm):
-        if seed[1] == 3:
+        if _iteration(seed) == 3:
             raise NoConvergence("forced at t=3")
         return lmo(G, tol, seed, max_iters, warm)
 
@@ -571,7 +669,7 @@ def test_lmo_failure_on_degenerate_sketch_keeps_trace(monkeypatch):
     lmo = sketchycgm.solver.max_sing_vec
 
     def fail_at_t3(G, tol, seed, max_iters, warm):
-        if seed[1] == 3:
+        if _iteration(seed) == 3:
             raise NoConvergence("forced at t=3")
         return lmo(G, tol, seed, max_iters, warm)
 

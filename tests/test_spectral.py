@@ -128,8 +128,10 @@ class TestMaxSingVec:
             max_sing_vec(M, tol=1e-14, max_iters=2)
 
     def test_krylov_cap_is_not_configurable(self):
-        with pytest.raises(TypeError):
-            SpectralConfig(krylov_dim=48)
+        # nor is the seed: each oracle call's seed is the solve's
+        for setting in ({"krylov_dim": 48}, {"seed": 0}):
+            with pytest.raises(TypeError):
+                SpectralConfig(**setting)
         # the oracle takes its settings as plain arguments, not as a config
         H = np.eye(4)
         for routine in (min_eig, max_sing_vec):
