@@ -128,7 +128,7 @@ class TestMaxSingVec:
             max_sing_vec(M, tol=1e-14, max_iters=2)
 
     def test_krylov_cap_is_not_configurable(self):
-        # nor is the seed: each oracle call's seed is the solve's
+        # neither the cap nor the seed is a setting: each call's seed is the solve's
         for setting in ({"krylov_dim": 48}, {"seed": 0}):
             with pytest.raises(TypeError):
                 SpectralConfig(**setting)
