@@ -2,8 +2,9 @@
 
 Works on a ratings file of (row, col, value) triples (1-based, whitespace
 separated) with an optional held-out file of the same format, or on a
-synthetic completion instance when --data is omitted. The useful output is
-the U-shape of the held-out error across the grid.
+synthetic completion instance when --data is omitted. A held-out file that
+repeats a training entry is refused with ValueError before any solve. The
+useful output is the U-shape of the held-out error across the grid.
 """
 
 import argparse
@@ -46,10 +47,12 @@ def main(argv=None):
         if args.test_data is not None:
             trows, tcols, tvals = read_triples(args.test_data)
             rows, cols, _ = read_triples(args.data)
-            ev = EvalSpec(rows=trows, cols=tcols, values=tvals, train_rows=rows, train_cols=cols)
             # the grid covers held-out rows and columns that training lacks
             m = int(max(rows.max(), trows.max())) + 1
             n = int(max(cols.max(), tcols.max())) + 1
+            if np.intersect1d(rows * n + cols, trows * n + tcols).size:
+                raise ValueError("held-out entries overlap the training set")
+            ev = EvalSpec(rows=trows, cols=tcols, values=tvals)
         op, values = entry_sampling_from_file(args.data, m=m, n=n)
         loss = Loss("gauss", values, normalization=1.0 / values.size)
         center = float(np.linalg.norm(values) * np.sqrt(op.m * op.n / op.d))

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and ``check_vector``, its one input rule."""
+
+import numpy as np
 
 __all__ = [
     "DimensionMismatch",
@@ -65,3 +67,22 @@ class TooLargeForDense(ValueError):
 
 class ZeroTruth(ValueError):
     """Reference signal is identically zero."""
+
+
+def check_vector(x, size: int, name: str, field=np.dtype(np.float64), finite: bool = True):
+    """x as a size-vector over field (a dtype), checked for shape, then field, then finiteness.
+
+    A real field refuses complex x with ``DimensionMismatch`` and takes real
+    x as float64; a complex field takes real or complex x as given.
+    ``finite=False`` skips the NaN and infinity test.
+    """
+    x = np.asarray(x)
+    if x.shape != (size,):
+        raise DimensionMismatch(f"{name} has shape {x.shape}, expected ({size},)")
+    if field.kind != "c":
+        if np.iscomplexobj(x):
+            raise DimensionMismatch(f"{name} is complex; real values are required")
+        x = np.asarray(x, dtype=float)
+    if finite and not np.all(np.isfinite(x)):
+        raise NonFiniteInput(f"{name} contains non-finite entries")
+    return x

@@ -9,7 +9,8 @@ phase-retrieval-style objectives):
     logistic   log(1 + exp(-b z)),  labels b in {-1, +1}
     poisson    z - b log z,         counts b >= 0, z clamped below
 
-Losses are real: complex measurements or z raise ``DimensionMismatch``.
+Losses are real: b and z go through ``errors.check_vector``, which refuses
+complex values with ``DimensionMismatch``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonFiniteInput
+from .errors import DimensionMismatch, DomainError, check_vector
 
 __all__ = ["Loss", "LOSS_KINDS", "HUBER_DELTA", "POISSON_FLOOR"]
 
@@ -30,12 +31,6 @@ HUBER_DELTA = 1.0
 POISSON_FLOOR = 1e-12
 
 
-def _real(x, name: str) -> np.ndarray:
-    if np.iscomplexobj(x):
-        raise DimensionMismatch(f"{name} is complex; real values are required")
-    return np.asarray(x, dtype=float)
-
-
 @dataclass(eq=False)
 class Loss:
     kind: str
@@ -45,33 +40,24 @@ class Loss:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        b = _real(self.b, "measurement vector").ravel()
+        b = np.ravel(self.b)
         if b.size == 0:
             raise DimensionMismatch("measurement vector is empty")
-        if not np.all(np.isfinite(b)):
-            raise NonFiniteInput("measurements contain non-finite entries")
+        b = check_vector(b, b.size, "measurement vector")
         if self.kind == "logistic" and not np.all(np.isin(b, (-1.0, 1.0))):
             raise DomainError("logistic labels must be -1 or +1")
         if self.kind == "poisson" and np.any(b < 0):
             raise DomainError("poisson counts must be nonnegative")
-        if not self.normalization > 0:
-            raise ValueError("normalization must be positive")
+        if not (np.isfinite(self.normalization) and self.normalization > 0):
+            raise ValueError("normalization must be positive and finite")
         self.b = b
 
     @property
     def d(self) -> int:
         return self.b.size
 
-    def _check(self, z) -> np.ndarray:
-        z = _real(z, "z")
-        if z.shape != self.b.shape:
-            raise DimensionMismatch(f"z has shape {z.shape}, expected {self.b.shape}")
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteInput("z contains non-finite entries")
-        return z
-
     def value(self, z) -> float:
-        z = self._check(z)
+        z = check_vector(z, self.d, "z")
         b = self.b
         if self.kind == "gauss":
             total = 0.5 * np.sum((z - b) ** 2)
@@ -88,7 +74,7 @@ class Loss:
         return float(self.normalization * total)
 
     def gradient(self, z) -> np.ndarray:
-        z = self._check(z)
+        z = check_vector(z, self.d, "z")
         b = self.b
         if self.kind == "gauss":
             g = z - b

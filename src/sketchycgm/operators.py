@@ -20,9 +20,9 @@ diffraction measures quadratic forms diag(A X A*) for a tall sensing
 matrix A applied by FFT; A is never built densely. Operators are immutable
 after construction and store Theta(d) parameters.
 
-A real-field operator such as entry sampling refuses a complex vector with
-``DimensionMismatch``, as the real-field sketch and the losses do; coded
-diffraction, a complex-field operator, takes real or complex vectors.
+Every vector goes through ``errors.check_vector``, as in the sketch and the
+losses; the adjoints skip its finiteness test. A real-field operator such
+as entry sampling refuses complex vectors; coded diffraction takes both.
 
 Entry sampling keeps the caller's measurement order and is fastest on a
 row-grouped index set (row-major order, as the loaders and the completion
@@ -41,10 +41,9 @@ from .errors import (
     DimensionMismatch,
     ImaginaryLeakage,
     IndexOutOfRange,
-    NonFiniteInput,
     ParseError,
+    check_vector,
 )
-from .losses import _real
 from .memory import nscalars
 
 __all__ = [
@@ -77,17 +76,6 @@ class MeasurementOperator:
         self.n = int(n)
         self.d = int(d)
         self.field = np.dtype(field)
-
-    def _check_vector(self, x, size: int, name: str, finite: bool = True) -> np.ndarray:
-        """x as a size-vector; a real field refuses complex x and takes real x as float."""
-        x = np.asarray(x)
-        if x.shape != (size,):
-            raise DimensionMismatch(f"{name} has shape {x.shape}, expected ({size},)")
-        if self.field.kind != "c":
-            x = _real(x, name)
-        if finite and not np.all(np.isfinite(x)):
-            raise NonFiniteInput(f"{name} contains non-finite entries")
-        return x
 
     def apply_rank_one(self, u, v) -> np.ndarray:
         """Measurements of the rank-one matrix with entries u_i * conj(v_j)."""
@@ -175,19 +163,19 @@ class EntrySamplingOperator(MeasurementOperator):
         return np.repeat(u[self.run_rows], self.run_lengths)
 
     def apply_rank_one(self, u, v) -> np.ndarray:
-        u = self._check_vector(u, self.m, "u")
-        v = self._check_vector(v, self.n, "v")
+        u = check_vector(u, self.m, "u", self.field)
+        v = check_vector(v, self.n, "v", self.field)
         return self._expand(u) * v[self.cols]
 
     def left_apply_adjoint(self, z, u) -> np.ndarray:
-        z = self._check_vector(z, self.d, "z", finite=False)
-        u = self._check_vector(u, self.m, "u", finite=False)
+        z = check_vector(z, self.d, "z", self.field, finite=False)
+        u = check_vector(u, self.m, "u", self.field, finite=False)
         picked = self._expand(u)
         return np.bincount(self.cols, np.multiply(z, picked, out=picked), self.n)
 
     def right_apply_adjoint(self, z, v) -> np.ndarray:
-        z = self._check_vector(z, self.d, "z", finite=False)
-        v = self._check_vector(v, self.n, "v", finite=False)
+        z = check_vector(z, self.d, "z", self.field, finite=False)
+        v = check_vector(v, self.n, "v", self.field, finite=False)
         picked = v[self.cols]
         run_sums = np.add.reduceat(np.multiply(z, picked, out=picked), self.run_starts)
         return np.bincount(self.run_rows, run_sums, self.m)
@@ -230,8 +218,8 @@ class CodedDiffractionOperator(MeasurementOperator):
         return (np.conj(self.modulations) * blocks).sum(axis=0)
 
     def apply_rank_one(self, u, v) -> np.ndarray:
-        u = self._check_vector(u, self.m, "u")
-        v = self._check_vector(v, self.n, "v")
+        u = check_vector(u, self.m, "u", self.field)
+        v = check_vector(v, self.n, "v", self.field)
         au = self._sense(u)
         # psd_measure's u u* senses its one vector once
         av = au if v is u else self._sense(v)
@@ -250,13 +238,13 @@ class CodedDiffractionOperator(MeasurementOperator):
         return buf.sum(axis=0)
 
     def left_apply_adjoint(self, z, u) -> np.ndarray:
-        z = self._check_vector(z, self.d, "z", finite=False)
-        u = self._check_vector(u, self.m, "u", finite=False)
+        z = check_vector(z, self.d, "z", self.field, finite=False)
+        u = check_vector(u, self.m, "u", self.field, finite=False)
         return self._conj_gram(np.conj(z) if np.iscomplexobj(z) else z, u)
 
     def right_apply_adjoint(self, z, v) -> np.ndarray:
-        z = self._check_vector(z, self.d, "z", finite=False)
-        v = self._check_vector(v, self.n, "v", finite=False)
+        z = check_vector(z, self.d, "z", self.field, finite=False)
+        v = check_vector(v, self.n, "v", self.field, finite=False)
         out = self._conj_gram(z, v)
         return np.conj(out, out=out)
 

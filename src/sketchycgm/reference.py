@@ -23,7 +23,7 @@ factors without densifying.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,22 +58,19 @@ class EvalSpec:
     test_error checks the indices' upper bounds against the factors.
     loss_kind picks the entrywise penalty: the constructor builds it once,
     as the Loss ``loss`` over values with normalization 1/size, and
-    test_error scores with it. When the training index set is supplied the
-    constructor enforces that the two sets are disjoint; it is not kept, so
-    a copy made with dataclasses.replace is not re-checked against training
-    entries. replace reads the training arguments' None defaults from the
-    class attributes dataclasses leave for them.
+    test_error scores with it. It does not know the training entries: a
+    caller that reads held-out entries from outside, as
+    ``scripts/alpha_sweep.py`` does, checks that they are not training
+    entries itself.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     loss_kind: str = "gauss"
-    train_rows: InitVar[np.ndarray | None] = None
-    train_cols: InitVar[np.ndarray | None] = None
     loss: Loss = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, train_rows, train_cols):
+    def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.intp)
         self.cols = np.asarray(self.cols, dtype=np.intp)
         if self.rows.size == 0:
@@ -84,21 +81,6 @@ class EvalSpec:
         self.values = self.loss.b
         if self.rows.min() < 0 or self.cols.min() < 0:
             raise IndexOutOfRange("held-out indices must be non-negative")
-        if (train_rows is None) != (train_cols is None):
-            raise ValueError("supply both train index arrays or neither")
-        if train_rows is not None:
-            train_rows = np.asarray(train_rows, dtype=np.intp).ravel()
-            train_cols = np.asarray(train_cols, dtype=np.intp).ravel()
-            if train_rows.size != train_cols.size:
-                raise DimensionMismatch("train_rows and train_cols must have equal length")
-            if train_rows.size:
-                # flat indices on a grid wide enough for every column of both sets
-                width = int(np.concatenate((self.cols.ravel(), train_cols)).max()) + 1
-                train = np.sort(train_rows * width + train_cols)
-                test = self.rows.ravel() * width + self.cols.ravel()
-                nearest = np.minimum(np.searchsorted(train, test), train.size - 1)
-                if np.any(train[nearest] == test):
-                    raise ValueError("test entries overlap the training set")
 
 
 def dense_adjoint(op, z: np.ndarray) -> np.ndarray:
@@ -243,6 +225,6 @@ def psnr(xhat, x, peak: float) -> float:
 def test_error(factors: FactoredMatrix, spec: EvalSpec) -> float:
     """Mean entrywise penalty on held-out entries, straight from real factors."""
     m, n = factors.shape
-    if spec.rows.size and (spec.rows.max() >= m or spec.cols.max() >= n):
+    if spec.rows.max() >= m or spec.cols.max() >= n:
         raise DimensionMismatch("test indices exceed the factor shape")
     return float(spec.loss.value(factors.entries(spec.rows, spec.cols)))

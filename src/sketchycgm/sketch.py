@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, RankDeficientPsiQ
+from .errors import DimensionMismatch, NonFiniteInput, RankDeficientPsiQ, check_vector
 from .memory import ledger, nscalars
 
 __all__ = ["Sketch", "FactoredMatrix"]
@@ -192,22 +192,10 @@ class Sketch:
         """The n-by-k range test matrix, drawn again from the seed's stream 0."""
         return _gaussian(np.random.default_rng((self.seed, 0)), (self.n, self.k), self.field)
 
-    def _check_pair(self, u, v):
-        u = np.asarray(u)
-        v = np.asarray(v)
-        if u.shape != (self.m,):
-            raise DimensionMismatch(f"u has shape {u.shape}, expected ({self.m},)")
-        if v.shape != (self.n,):
-            raise DimensionMismatch(f"v has shape {v.shape}, expected ({self.n},)")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise NonFiniteInput("update factors contain non-finite entries")
-        if self.field == np.float64 and (np.iscomplexobj(u) or np.iscomplexobj(v)):
-            raise DimensionMismatch("complex update factors on a real-field sketch")
-        return u, v
-
     def linear_update(self, beta1: float, beta2: float, u, v) -> None:
         """Shadow the update X <- beta1 X + beta2 u v*."""
-        u, v = self._check_pair(u, v)
+        u = check_vector(u, self.m, "u", self.field)
+        v = check_vector(v, self.n, "v", self.field)
         if not (np.isfinite(beta1) and np.isfinite(beta2)):
             raise NonFiniteInput("update coefficients must be finite")
         width = 2 if self.field == np.complex128 else 1

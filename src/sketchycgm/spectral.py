@@ -9,12 +9,12 @@ Rayleigh quotient u* G u; because Krylov spaces are shift invariant this
 coincides with shifting by a norm estimate and chasing the top of the
 shifted matrix, and the norm estimate survives as the residual scale.
 ``max_sing_vec`` takes the bottom eigenvector v of -G* G from ``min_eig``
-(Golub-Kahan bidiagonalization in exact arithmetic) and closes with one
-product u = G v / sigma. Each Lanczos step on -G* G costs one G v and one
-G* u, and only the n-side basis is stored: each call allocates and charges
-one basis of cap = min(``_KRYLOV_DIM`` = 40, max_iters, n) rows, and a
-cycle that fills it without converging restarts in place from its bottom
-Ritz vector. Start vectors are drawn from a seeded generator so that
+(Golub-Kahan bidiagonalization in exact arithmetic) and reads G v from its
+last product for u = G v / sigma. Each Lanczos step on -G* G costs one G v
+and one G* u, and only the n-side basis is stored: each call allocates and
+charges one basis of cap = min(``_KRYLOV_DIM`` = 40, max_iters, n) rows,
+and a cycle that fills it without converging restarts in place from its
+bottom Ritz vector. Start vectors are drawn from a seeded generator so that
 independent runs reproduce identical direction sequences.
 
 A caller that holds an earlier answer may pass it as ``warm``: the first
@@ -158,7 +158,7 @@ def _canonical_phase(u: np.ndarray):
 
 
 class _NegatedGram:
-    """The n-by-n Hermitian matrix -G* G, applied as one G v and one G* u."""
+    """The n-by-n Hermitian matrix -G* G, applied as one G v and one G* u; ``last`` is (v, G v)."""
 
     def __init__(self, G):
         self.G = G
@@ -166,7 +166,8 @@ class _NegatedGram:
         self.iscomplex = G.iscomplex
 
     def matvec(self, v):
-        return -self.G.rmatvec(self.G.matvec(v))
+        self.last = v, self.G.matvec(v)
+        return -self.G.rmatvec(self.last[1])
 
 
 def max_sing_vec(G, tol=SpectralConfig.tol, seed=0,
@@ -181,9 +182,10 @@ def max_sing_vec(G, tol=SpectralConfig.tol, seed=0,
     largest-magnitude entry is real positive. Raises ``ZeroGradient`` when
     sigma = 0 and ``NoConvergence`` if the budget runs out.
     """
-    G = _as_linop(G)
-    _, v = min_eig(_NegatedGram(G), tol, seed, max_iters, warm)
-    p = G.matvec(v)
+    gram = _NegatedGram(_as_linop(G))
+    _, v = min_eig(gram, tol, seed, max_iters, warm)
+    # min_eig's last product was on v before its phase turn
+    p = gram.last[1] * _canonical_phase(gram.last[0])
     sigma = np.linalg.norm(p)
     if sigma == 0.0:
         raise ZeroGradient("top singular value is zero; the matrix is numerically zero")

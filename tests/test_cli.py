@@ -144,6 +144,9 @@ def _config_argv(tmp_path, text, joined=False):
                      ParseError, "line 2: expected key=value", id="config-line-without-equals"),
         pytest.param(lambda p: cli._expand_config(_config_argv(p, "= 4\n", joined=True)),
                      ParseError, "line 1: empty key", id="config-equals-form-empty-key"),
+        # blank and comment lines are skipped but still counted
+        pytest.param(lambda p: cli._expand_config(_config_argv(p, "\n# n = 8\nviews 4\n")),
+                     ParseError, "line 3: expected key=value", id="config-bad-line-after-blank"),
         pytest.param(lambda p: _build_solve_problem(build_parser().parse_args(
                      ["solve", "--problem", "file", "--alpha", "1"])),
                      ValueError, "--data", id="file-problem-without-data"),

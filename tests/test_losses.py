@@ -156,6 +156,10 @@ def test_convexity_along_segments(kind, seed, lam):
                      "normalization", id="normalization-zero"),
         pytest.param(lambda: Loss("gauss", [1.0], normalization=-1.0), ValueError,
                      "normalization", id="normalization-negative"),
+        pytest.param(lambda: Loss("gauss", [1.0], normalization=np.inf), ValueError,
+                     "normalization", id="normalization-infinite"),
+        pytest.param(lambda: Loss("gauss", [1.0], normalization=np.nan), ValueError,
+                     "normalization", id="normalization-nan"),
         pytest.param(lambda: Loss("gauss", [1.0, 2.0]).value([1.0]), DimensionMismatch,
                      "shape", id="value-misshapen-z"),
         pytest.param(lambda: Loss("huber", [1.0, 2.0]).gradient(np.ones((2, 1))),

@@ -87,3 +87,18 @@ def test_building_operators_and_sketches_charges_nothing():
     Sketch(10, 10, 1)
     Sketch(10, 10, 1, field="complex", psd=True)
     assert ledger.live() == before
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda led: led.sub("a", -1), ValueError, "nonnegative",
+                     id="sub-negative-count"),
+    ],
+)
+def test_input_checks_raise_typed_errors(call, error, match):
+    led = AllocationLedger()
+    with pytest.raises(error, match=match) as exc:
+        call(led)
+    assert type(exc.value) is error
+    assert led.live() == {}

@@ -200,3 +200,26 @@ class TestSettingsPassThrough:
     def test_unknown_or_fixed_settings_are_refused(self, kind, name):
         with pytest.raises(TypeError):
             _generate(kind, **{name: 1})
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: SyntheticPhaseSpec(n=8, noise_kind="gaussian", snr_db=0.0),
+                     ValueError, "snr_db", id="phase-noisy-snr-zero"),
+        pytest.param(lambda: SyntheticCompletionSpec(m=0, n=4, true_rank=1), ValueError,
+                     "dimensions", id="completion-m-zero"),
+        pytest.param(lambda: SyntheticCompletionSpec(m=4, n=3, true_rank=4), ValueError,
+                     "true_rank", id="completion-rank-above-min"),
+        pytest.param(lambda: SyntheticCompletionSpec(m=4, n=3, true_rank=1, obs_fraction=0.0),
+                     ValueError, "obs_fraction", id="completion-obs-fraction-zero"),
+        pytest.param(lambda: SyntheticCompletionSpec(m=4, n=3, true_rank=1, test_fraction=1.0),
+                     ValueError, "test_fraction", id="completion-test-fraction-one"),
+        pytest.param(lambda: SyntheticCompletionSpec(m=4, n=3, true_rank=1, noise=-0.1),
+                     ValueError, "noise", id="completion-noise-negative"),
+    ],
+)
+def test_input_checks_raise_typed_errors(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert type(exc.value) is error

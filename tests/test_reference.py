@@ -302,27 +302,13 @@ class TestTestError:
         with pytest.raises(IndexOutOfRange):
             EvalSpec(rows=rows, cols=cols, values=[1.0])
 
-    @pytest.mark.parametrize("unread", [{"eps": 1e-2}, {"truth": np.zeros(1)}])
+    @pytest.mark.parametrize(
+        "unread",
+        [{"eps": 1e-2}, {"truth": np.zeros(1)}, {"train_rows": [1], "train_cols": [1]}],
+    )
     def test_unread_fields_are_gone(self, unread):
         with pytest.raises(TypeError):
             EvalSpec(rows=[0], cols=[0], values=[1.0], **unread)
-
-    def test_replace_copies_without_training_indices(self):
-        # replace reads the training InitVars' None defaults off the class
-        spec = EvalSpec(rows=[0], cols=[0], values=[1.0], train_rows=[1], train_cols=[1])
-        copy = replace(spec, values=[2.0])
-        assert copy.values.tolist() == [2.0]
-        assert copy.rows.tolist() == [0] and copy.cols.tolist() == [0]
-
-    def test_train_test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            EvalSpec(
-                rows=[0, 1],
-                cols=[0, 1],
-                values=[1.0, 2.0],
-                train_rows=[1, 2],
-                train_cols=[1, 2],
-            )
 
 
 @pytest.mark.parametrize(
@@ -332,16 +318,16 @@ class TestTestError:
                      id="eval-spec-empty"),
         pytest.param(lambda: EvalSpec(rows=[0, 1], cols=[0], values=[1.0, 2.0]),
                      DimensionMismatch, "equal length", id="eval-spec-length-mismatch"),
-        pytest.param(lambda: EvalSpec(rows=[0], cols=[0], values=[1.0], train_rows=[1]),
-                     ValueError, "both", id="eval-spec-one-train-array"),
-        pytest.param(lambda: EvalSpec(rows=[0], cols=[0], values=[1.0], train_rows=[1, 2],
-                                      train_cols=[1]),
-                     DimensionMismatch, "equal length", id="eval-spec-unequal-train-arrays"),
         pytest.param(lambda: cgm_dense_solve(spiked_completion_problem(1, m=6, n=5),
                                              spectral_mode="x"),
                      ValueError, "spectral_mode", id="dense-unknown-spectral-mode"),
         pytest.param(lambda: phase_aligned_error(np.ones(3), np.ones(4)), DimensionMismatch,
                      "shapes", id="phase-error-shape-mismatch"),
+        pytest.param(lambda: psnr(np.ones(3), np.ones(4), peak=1.0), DimensionMismatch,
+                     "shapes", id="psnr-shape-mismatch"),
+        pytest.param(lambda: dense_adjoint(EntrySamplingOperator(1001, 1000, [0], [0]),
+                                           np.ones(1)),
+                     TooLargeForDense, "dense guard", id="dense-adjoint-above-guard"),
     ],
 )
 def test_input_checks_raise_typed_errors(call, error, match):

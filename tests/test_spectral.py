@@ -113,6 +113,25 @@ class TestMaxSingVec:
             with pytest.raises(DimensionMismatch, match="complex"):
                 product(np.ones(4))
 
+    def test_reads_g_v_from_the_last_lanczos_product(self, monkeypatch):
+        # each Lanczos step on -G* G is one G v and one G* u, and u = G v / sigma adds none
+        rng = np.random.default_rng(8)
+        rows, cols = random_mask(rng, 30, 20, 0.4)
+        op = EntrySamplingOperator(30, 20, rows, cols)
+        G = ImplicitGradientMatrix(op, rng.standard_normal(op.d))
+        counts = {"matvec": 0, "rmatvec": 0}
+        for name in counts:
+            def counted(x, name=name, product=getattr(G, name)):
+                counts[name] += 1
+                return product(x)
+            monkeypatch.setattr(G, name, counted)
+        u, v, sigma = max_sing_vec(G, tol=1e-10)
+        assert counts["matvec"] == counts["rmatvec"] > 0
+        # on a real field the phase turn is a sign, so the image read is a fresh G v bit for bit
+        p = op.right_apply_adjoint(G.g, v)
+        assert sigma == np.linalg.norm(p)
+        np.testing.assert_array_equal(u, p / sigma)
+
     def test_zero_gradient_raises(self):
         op = EntrySamplingOperator(4, 4, [0, 1], [0, 1])
         with pytest.raises(ZeroGradient):
@@ -450,3 +469,17 @@ class TestWarmStart:
         counted = CountingLinop(G)
         max_sing_vec(counted, tol=1e-8)
         assert G.calls == counted.calls > 0
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(lambda: ImplicitGradientMatrix(EntrySamplingOperator(3, 3, [0, 1], [0, 1]),
+                                                    np.ones(3)),
+                     DimensionMismatch, "z has shape", id="implicit-gradient-misshapen-z"),
+    ],
+)
+def test_input_checks_raise_typed_errors(call, error, match):
+    with pytest.raises(error, match=match) as exc:
+        call()
+    assert type(exc.value) is error
